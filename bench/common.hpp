@@ -37,10 +37,14 @@
 // runs — and generated vs replayed workloads — stay headline-comparable).
 // Every output path (and --out-dir) is probed for writability up front,
 // so a typo fails the run immediately instead of after the measured
-// phases. Profiling never changes results: headline numbers are
-// bit-identical with --profile on or off (tests/prof/bit_identity_test).
+// phases. An unknown flag, a flag missing its value, or a bad --threads
+// value exits 2 the same way: a stale invocation must not silently run a
+// different configuration. Profiling never changes results: headline
+// numbers are bit-identical with --profile on or off
+// (tests/prof/bit_identity_test).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -50,6 +54,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -91,7 +96,7 @@ class Harness {
       const auto take_value = [&]() -> std::string {
         if (i + 1 >= argc) {
           std::cerr << name_ << ": missing value for " << arg << "\n";
-          return {};
+          std::exit(2);
         }
         return argv[++i];
       };
@@ -103,12 +108,16 @@ class Harness {
         trace_path_ = take_value();
       } else if (arg == "--threads") {
         const std::string value = take_value();
-        try {
-          exec::set_default_threads(std::stoul(value));
-        } catch (const std::exception&) {
+        std::size_t threads = 0;
+        const char* end = value.data() + value.size();
+        const auto [parsed, error] =
+            std::from_chars(value.data(), end, threads);
+        if (value.empty() || error != std::errc{} || parsed != end) {
           std::cerr << name_ << ": bad --threads value '" << value
                     << "' (want a non-negative integer; 0 = hardware)\n";
+          std::exit(2);
         }
+        exec::set_default_threads(threads);
       } else if (arg == "--out-dir") {
         out_dir_ = take_value();
       } else if (arg == "--trace-in") {
@@ -132,7 +141,7 @@ class Harness {
           break;
         }
         if (!consumed) {
-          std::cerr << name_ << ": ignoring unknown argument '" << arg
+          std::cerr << name_ << ": unknown argument '" << arg
                     << "' (supported: --json <path> --csv <path> --trace "
                        "<path> --threads <n> --out-dir <dir> --trace-in "
                        "<dir> --profile <path> --folded <path>";
@@ -141,6 +150,7 @@ class Harness {
                       << (flag.value != nullptr ? " <value>" : "");
           }
           std::cerr << ")\n";
+          std::exit(2);
         }
       }
     }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "lina/cache/mapping_cache.hpp"
-#include "lina/des/bundle.hpp"
 #include "lina/exec/thread_pool.hpp"
 #include "lina/names/name_trie.hpp"
 #include "lina/prof/prof.hpp"
@@ -490,85 +489,6 @@ void BM_MappingCacheEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_MappingCacheEvict)
     ->ArgsProduct({{1 << 8, 1 << 12, 1 << 16}, {0, 1, 2}});
-
-// Cross-shard mailbox micros for the lina::des engine (DESIGN.md §4j):
-// the writer-side handoff (per-event vector push_back vs bundled append
-// into the recycled 1 KiB arena) and the full append+drain round trip a
-// window barrier performs. Arg 0 is records per window; arg 1 selects the
-// container (0 = plain std::vector mailbox — the PR 9 shape — 1 =
-// BundleChain). Items/sec counts records. Both measure the *steady
-// state*: the first window's allocations happen outside the timed loop.
-
-des::EventRecord mailbox_record(std::uint32_t i) {
-  des::EventRecord r;
-  r.time_ms = static_cast<double>(i) * 0.125;
-  r.sent_ms = r.time_ms;
-  r.session = i & 1023;
-  r.packet = i;
-  r.at = i % 197;
-  r.dest = (i * 7) % 197;
-  r.hops = static_cast<std::uint16_t>(i % 13);
-  r.type = des::EventType::kHop;
-  return r;
-}
-
-void BM_MailboxAppend(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const bool bundled = state.range(1) != 0;
-  std::vector<des::EventRecord> vec;
-  des::BundleChain chain;
-  // Warm one window so both containers reach their high-water mark.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (bundled) chain.append(mailbox_record(i));
-    else vec.push_back(mailbox_record(i));
-  }
-  if (bundled) chain.drain([](const des::EventRecord&) {});
-  else vec.clear();
-  for (auto _ : state) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (bundled) chain.append(mailbox_record(i));
-      else vec.push_back(mailbox_record(i));
-    }
-    if (bundled) {
-      benchmark::DoNotOptimize(chain.pending_records());
-      chain.drain([](const des::EventRecord&) {});
-    } else {
-      benchmark::DoNotOptimize(vec.size());
-      vec.clear();
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MailboxAppend)
-    ->ArgsProduct({{1 << 6, 1 << 10, 1 << 14}, {0, 1}});
-
-void BM_BundleDrain(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const bool bundled = state.range(1) != 0;
-  std::vector<des::EventRecord> vec;
-  des::BundleChain chain;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (bundled) chain.append(mailbox_record(i));
-      else vec.push_back(mailbox_record(i));
-    }
-    state.ResumeTiming();
-    // The barrier's reader side: visit every record, then reset keeping
-    // the arena — what shards_[dst] does per window.
-    if (bundled) {
-      chain.drain([&](const des::EventRecord& r) { sink += r.packet; });
-    } else {
-      for (const des::EventRecord& r : vec) sink += r.packet;
-      vec.clear();
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BundleDrain)
-    ->ArgsProduct({{1 << 6, 1 << 10, 1 << 14}, {0, 1}});
 
 // Span-overhead pins for the lina::prof contract: a disabled PROF_SPAN
 // must cost <= ~2ns (one relaxed atomic load + branch), an enabled span

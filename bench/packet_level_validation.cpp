@@ -5,17 +5,12 @@
 // handoff outage, and control-message volume. The mobile population now
 // streams out of the shared trace-shard cache (the same fixture every
 // replay figure uses, so the run record carries trace.reuse), and a
-// second phase drives the same sessions through the lina::des sharded
-// packet engine, cross-checking its delivered-packet digest against the
-// serial reference — a digest mismatch fails the bench (exit 1).
-//
-// Bench-specific flags (config block only, never results):
-//     --des-shards <n>      engine shard count (default 8)
-//     --des-window-ms <x>   lookahead override (default 0 = auto)
-//     --des-sync <mode>     conservative | optimistic | both (default both)
+// second phase drives the same sessions through the lina::des
+// session-parallel packet executor, cross-checking its delivered-packet
+// digest against the serial reference — a digest mismatch fails the bench
+// (exit 1).
 
 #include <chrono>
-#include <cmath>
 #include <iostream>
 
 #include "common.hpp"
@@ -82,58 +77,7 @@ std::vector<mobility::DeviceTrace> most_mobile_streamed(
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string shards_flag = "8";
-  std::string window_flag = "0";
-  std::string sync_flag = "both";
-  bench::Harness harness(argc, argv, "packet_level_validation",
-                         {{"--des-shards", &shards_flag, nullptr},
-                          {"--des-window-ms", &window_flag, nullptr},
-                          {"--des-sync", &sync_flag, nullptr}});
-
-  // Fail fast on a bad engine configuration, before any measured phase —
-  // the same contract as the harness's output-path probes (exit code 2).
-  std::size_t des_shards = 0;
-  try {
-    des_shards = std::stoul(shards_flag);
-  } catch (const std::exception&) {
-    std::cerr << "packet_level_validation: bad --des-shards value '"
-              << shards_flag << "' (want a positive integer)\n";
-    std::exit(2);
-  }
-  if (des_shards == 0) {
-    std::cerr << "packet_level_validation: --des-shards must be >= 1\n";
-    std::exit(2);
-  }
-  double des_window_ms = 0.0;
-  try {
-    des_window_ms = std::stod(window_flag);
-  } catch (const std::exception&) {
-    std::cerr << "packet_level_validation: bad --des-window-ms value '"
-              << window_flag << "' (want a non-negative number)\n";
-    std::exit(2);
-  }
-  if (!(des_window_ms >= 0.0) || !std::isfinite(des_window_ms)) {
-    std::cerr << "packet_level_validation: --des-window-ms must be a "
-                 "finite non-negative number (0 = auto lookahead)\n";
-    std::exit(2);
-  }
-  struct SyncArm {
-    std::string key;
-    des::SyncMode mode;
-  };
-  std::vector<SyncArm> sync_arms;
-  if (sync_flag == "conservative" || sync_flag == "both") {
-    sync_arms.push_back({"conservative", des::SyncMode::kConservative});
-  }
-  if (sync_flag == "optimistic" || sync_flag == "both") {
-    sync_arms.push_back({"optimistic", des::SyncMode::kOptimistic});
-  }
-  if (sync_arms.empty()) {
-    std::cerr << "packet_level_validation: bad --des-sync value '"
-              << sync_flag
-              << "' (want conservative | optimistic | both)\n";
-    std::exit(2);
-  }
+  bench::Harness harness(argc, argv, "packet_level_validation");
 
   bench::print_figure_header(
       "Packet-level validation — forwarding under mobility (extension)",
@@ -225,18 +169,14 @@ int main(int argc, char** argv) {
          "resolver, and indirection trades per-packet stretch for the "
          "cheapest control plane.\n\n";
 
-  // Same sessions through the sharded packet engine: the delivered-packet
-  // digest must match the serial sim::EventQueue reference bit-for-bit
-  // for every variant, at whatever shard count / window the flags chose.
+  // Same sessions through the session-parallel executor: the
+  // delivered-packet digest must match the serial sim::EventQueue
+  // reference bit-for-bit for every variant, at whatever --threads chose.
   harness.phase("packet-engine");
-  harness.note("des.shards", std::to_string(des_shards));
-  harness.note("des.window_ms", stats::fmt(des_window_ms, 3));
-  harness.note("des.sync", sync_flag);
-  const des::ShardMap map = des::ShardMap::from_topology(internet,
-                                                         des_shards);
   std::vector<std::vector<std::string>> engine_rows;
-  engine_rows.push_back({"architecture", "sync", "events", "events/sec",
-                         "windows", "rollbacks", "digest"});
+  engine_rows.push_back({"architecture", "events", "events/sec", "digest"});
+  std::uint64_t engine_events = 0;
+  double engine_seconds = 0.0;
   for (const Variant& variant : variants) {
     des::PacketModel model(fabric, variant.arch);
     for (const mobility::DeviceTrace& trace : mobile_users) {
@@ -257,53 +197,43 @@ int main(int argc, char** argv) {
     harness.result("des_" + variant.key + "_fingerprint_lo32",
                    static_cast<double>(serial.digest.fingerprint() &
                                        0xffffffffULL));
-    for (const SyncArm& arm : sync_arms) {
-      des::EngineConfig engine_config;
-      engine_config.shard_count = des_shards;
-      engine_config.window_ms = des_window_ms;
-      engine_config.sync = arm.mode;
-      const auto start = std::chrono::steady_clock::now();
-      des::ShardedEngine engine(model, map, engine_config);
-      const des::RunStats sharded = engine.run();
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      if (sharded.digest != serial.digest ||
-          sharded.events != serial.events) {
-        std::cerr << "packet_level_validation: sharded engine digest "
-                     "mismatch for "
-                  << variant.label << " (" << arm.key << ", serial fp "
-                  << serial.digest.fingerprint() << ", sharded fp "
-                  << sharded.digest.fingerprint()
-                  << ") — the bit-identity contract is broken\n";
-        return 1;
-      }
-      const double events_per_sec =
-          seconds > 0.0 ? static_cast<double>(sharded.events) / seconds
-                        : 0.0;
-      engine_rows.push_back(
-          {variant.label, arm.key, std::to_string(sharded.events),
-           stats::fmt(events_per_sec / 1e6, 2) + "M",
-           std::to_string(sharded.windows),
-           std::to_string(sharded.rollbacks),
-           "ok (fp " + std::to_string(sharded.digest.fingerprint() &
-                                      0xffffffffULL) +
-               ")"});
-      harness.result("des_" + variant.key + "_" + arm.key +
-                         "_events_per_sec",
-                     events_per_sec);
+    const auto start = std::chrono::steady_clock::now();
+    const des::RunStats parallel = des::run_parallel(model);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    if (parallel.digest != serial.digest ||
+        parallel.events != serial.events) {
+      std::cerr << "packet_level_validation: packet executor digest "
+                   "mismatch for "
+                << variant.label << " (serial fp "
+                << serial.digest.fingerprint() << ", parallel fp "
+                << parallel.digest.fingerprint()
+                << ") — the bit-identity contract is broken\n";
+      return 1;
     }
+    engine_events += parallel.events;
+    engine_seconds += seconds;
+    engine_rows.push_back(
+        {variant.label, std::to_string(parallel.events),
+         stats::fmt(seconds > 0.0 ? static_cast<double>(parallel.events) /
+                                        seconds / 1e6
+                                  : 0.0,
+                    2) +
+             "M",
+         "ok (fp " +
+             std::to_string(parallel.digest.fingerprint() & 0xffffffffULL) +
+             ")"});
   }
+  harness.result("des_events_per_sec",
+                 engine_seconds > 0.0
+                     ? static_cast<double>(engine_events) / engine_seconds
+                     : 0.0);
   std::cout << stats::heading(
-      "Sharded packet engine (lina::des) vs serial reference");
+      "Session-parallel packet executor (lina::des) vs serial reference");
   std::cout << stats::text_table(engine_rows) << "\n";
   std::cout << "Every digest matches the serial sim::EventQueue loop "
-               "bit-for-bit ("
-            << des_shards << " shards, "
-            << (des_window_ms > 0.0 ? stats::fmt(des_window_ms, 3) + " ms "
-                                          "window"
-                                    : std::string("auto lookahead"))
-            << ", sync " << sync_flag << ").\n";
+               "bit-for-bit.\n";
   return 0;
 }

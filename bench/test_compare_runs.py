@@ -64,12 +64,12 @@ class CompareRunsTest(unittest.TestCase):
         a = self.path(
             "a.json",
             record(results={"packet_digest": 7,
-                            "des_conservative_events_per_sec": 1e6}),
+                            "des_events_per_sec": 1e6}),
         )
         b = self.path(
             "b.json",
             record(results={"packet_digest": 7,
-                            "des_conservative_events_per_sec": 2e6}),
+                            "des_events_per_sec": 2e6}),
         )
         proc = self.run_compare(a, b)
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)

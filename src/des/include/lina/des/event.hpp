@@ -6,9 +6,9 @@ namespace lina::des {
 
 /// What a flat event record means to the packet model.
 ///
-/// The engine replaces sim::EventQueue's type-erased std::function entries
-/// with these fixed-size POD records: the hot loop moves 48-byte values
-/// through vector-backed binary heaps and mailboxes, never allocating and
+/// The executor replaces sim::EventQueue's type-erased std::function
+/// entries with these fixed-size POD records: the hot loop moves small
+/// values through a vector-backed worklist, never allocating per event and
 /// never chasing a closure pointer.
 enum class EventType : std::uint8_t {
   kEmit,  // the correspondent emits packet `packet` (and re-arms itself)
@@ -21,12 +21,11 @@ enum class HopStage : std::uint8_t {
   kFinal,  // heading for the believed mobile location
 };
 
-/// One scheduled event. POD by design: records are copied into per-shard
-/// arenas and cross-shard mailboxes by value.
+/// One scheduled event. POD by design: records are copied through the
+/// worklist by value.
 struct EventRecord {
   double time_ms = 0.0;    // absolute simulated time
   double sent_ms = 0.0;    // kHop: when the packet left the correspondent
-  std::uint64_t seq = 0;   // per-queue FIFO tie-break (assigned on push)
   std::uint32_t session = 0;  // index into the model's session arena
   std::uint32_t packet = 0;   // packet sequence number within the session
   std::uint32_t at = 0;       // current AS (kEmit: the correspondent)
@@ -37,18 +36,6 @@ struct EventRecord {
 };
 
 static_assert(sizeof(EventRecord) <= 48, "event records must stay flat");
-
-/// Identity of two records up to the engine-assigned FIFO tie-break.
-/// Rollback retraction matches a re-generated emission against the copy
-/// sitting in a heap or staging area; `seq` is assigned per queue on push
-/// and is the one field a pure re-execution cannot reproduce.
-[[nodiscard]] constexpr bool same_event(const EventRecord& a,
-                                        const EventRecord& b) {
-  return a.time_ms == b.time_ms && a.sent_ms == b.sent_ms &&
-         a.session == b.session && a.packet == b.packet && a.at == b.at &&
-         a.dest == b.dest && a.hops == b.hops && a.type == b.type &&
-         a.stage == b.stage;
-}
 
 namespace detail {
 
@@ -65,8 +52,9 @@ namespace detail {
 /// Order-independent summary of every delivered packet: a commutative
 /// fold (XOR and wrapping sum of per-packet hashes), so any execution
 /// order of the same delivered-packet multiset produces the same digest —
-/// the property that lets the sharded engine be compared bit-for-bit
-/// against the serial sim::EventQueue loop at any shard or thread count.
+/// the property that lets the session-parallel executor be compared
+/// bit-for-bit against the serial sim::EventQueue loop at any thread
+/// count.
 /// Delay is accumulated in integer microseconds (exact, associative); a
 /// floating-point sum would depend on accumulation order.
 struct DeliveryDigest {
@@ -99,24 +87,7 @@ struct DeliveryDigest {
     sum_mix += h;
   }
 
-  /// Exact inverse of combine(): XOR is an involution and the counters /
-  /// sums use wrapping unsigned arithmetic, so subtracting the digest
-  /// delta a rolled-back event contributed restores the pre-event digest
-  /// bit-for-bit. This is what makes the optimistic engine's undo log a
-  /// plain record list: rollback re-runs the pure handler into a scratch
-  /// digest and subtracts it, no stored state needed.
-  void subtract(const DeliveryDigest& other) {
-    sent -= other.sent;
-    delivered -= other.delivered;
-    lost -= other.lost;
-    hop_events -= other.hop_events;
-    xor_mix ^= other.xor_mix;
-    sum_mix -= other.sum_mix;
-    delay_us_total -= other.delay_us_total;
-    hops_total -= other.hops_total;
-  }
-
-  /// Commutative merge of another shard's digest.
+  /// Commutative merge of another chunk's or batch's digest.
   void combine(const DeliveryDigest& other) {
     sent += other.sent;
     delivered += other.delivered;

@@ -8,8 +8,8 @@
 // values). No handler mutates state another handler can observe, so the
 // multiset of delivered packets — and therefore the DeliveryDigest — is
 // invariant under any execution order of the same event set. That is the
-// lemma that makes the sharded engine bit-identical to the serial
-// sim::EventQueue loop at any shard count and thread count.
+// lemma that makes the session-parallel executor bit-identical to the
+// serial sim::EventQueue loop at any thread count.
 //
 // Architecture semantics (who the correspondent/routers believe the
 // mobile is attached to) are *closed-form in time*: beliefs are derived
@@ -60,7 +60,7 @@ struct SessionParams {
 };
 
 /// The immutable session arena plus the event handlers. Build it (add
-/// every session), then hand it to ShardedEngine / run_serial; handle()
+/// every session), then hand it to run_parallel / run_serial; handle()
 /// is const and thread-safe.
 class PacketModel {
  public:

@@ -2,11 +2,11 @@
 
 // Out-of-core packet replay: sessions stream out of a lina::trace shard
 // set in bounded user batches; each batch becomes a PacketModel and runs
-// through the sharded engine (or the serial reference), and the
-// per-batch digests fold commutatively — so peak memory is one decoded
-// batch plus the per-shard event heaps, no matter how many users the set
-// holds, and the combined digest is invariant across batch size, shard
-// count, and thread count.
+// through the session-parallel executor (or the serial reference), and
+// the per-batch digests fold commutatively — so peak memory is one
+// decoded batch plus one small worklist per chunk, no matter how many
+// users the set holds, and the combined digest is invariant across batch
+// size, trace shard layout, and thread count.
 
 #include <cstdint>
 #include <vector>
@@ -30,8 +30,8 @@ struct PacketReplayConfig {
   std::size_t batch_users = 8192;
   EngineConfig engine;
   const sim::FailurePlan* failures = nullptr;
-  /// Run the serial sim::EventQueue reference instead of the sharded
-  /// engine (for identity gates).
+  /// Run the serial sim::EventQueue reference instead of the
+  /// session-parallel executor (for identity gates).
   bool serial = false;
 };
 
@@ -39,21 +39,13 @@ struct PacketReplayStats {
   DeliveryDigest digest;
   std::uint64_t sessions = 0;
   std::uint64_t events = 0;
+  /// Always 0: the session-parallel executor has no barrier windows.
+  /// Kept so existing readers of the field keep building.
   std::uint64_t windows = 0;
-  std::uint64_t handoffs = 0;
   std::uint64_t batches = 0;
-  std::uint64_t redrain_passes = 0;
-  std::uint64_t bundles = 0;
-  std::uint64_t rollbacks = 0;
-  std::uint64_t rolled_back_events = 0;
-  /// Per-engine-shard event totals summed across batches (empty for the
-  /// serial reference).
-  std::vector<std::uint64_t> shard_events;
-  /// max/mean of shard_events (1.0 = balanced; 0 when serial or empty).
-  double shard_imbalance = 0.0;
 };
 
-/// Streams every user of `set` through the packet engine. Throws
+/// Streams every user of `set` through the packet executor. Throws
 /// std::invalid_argument on a config the model rejects.
 [[nodiscard]] PacketReplayStats replay_packets_streamed(
     const sim::ForwardingFabric& fabric, const trace::ShardSet& set,

@@ -1,7 +1,5 @@
 #include "lina/des/replay.hpp"
 
-#include <algorithm>
-
 #include "lina/prof/prof.hpp"
 #include "lina/trace/replay.hpp"
 
@@ -11,8 +9,6 @@ PacketReplayStats replay_packets_streamed(
     const sim::ForwardingFabric& fabric, const trace::ShardSet& set,
     const PacketReplayConfig& config) {
   PROF_SPAN("lina.des.replay");
-  const ShardMap map = ShardMap::from_topology(
-      fabric.internet(), config.engine.shard_count);
   trace::DeviceTraceStream stream(set);
   PacketReplayStats total;
   std::uint64_t next_user = 0;
@@ -39,34 +35,11 @@ PacketReplayStats replay_packets_streamed(
       model.add_session(params);
     }
     total.sessions += model.session_count();
-    const RunStats run = config.serial
-                             ? run_serial(model)
-                             : ShardedEngine(model, map, config.engine).run();
+    const RunStats run = config.serial ? run_serial(model)
+                                       : run_parallel(model, config.engine);
     total.digest.combine(run.digest);
     total.events += run.events;
-    total.windows += run.windows;
-    total.handoffs += run.handoffs;
     total.batches += 1;
-    total.redrain_passes += run.redrain_passes;
-    total.bundles += run.bundles;
-    total.rollbacks += run.rollbacks;
-    total.rolled_back_events += run.rolled_back_events;
-    if (total.shard_events.size() < run.shard_events.size()) {
-      total.shard_events.resize(run.shard_events.size());
-    }
-    for (std::size_t s = 0; s < run.shard_events.size(); ++s) {
-      total.shard_events[s] += run.shard_events[s];
-    }
-  }
-  if (!total.shard_events.empty() && total.events > 0) {
-    std::uint64_t max_events = 0;
-    for (const std::uint64_t count : total.shard_events) {
-      max_events = std::max(max_events, count);
-    }
-    total.shard_imbalance =
-        static_cast<double>(max_events) /
-        (static_cast<double>(total.events) /
-         static_cast<double>(total.shard_events.size()));
   }
   return total;
 }

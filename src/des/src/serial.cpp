@@ -11,8 +11,8 @@ RunStats run_serial(const PacketModel& model) {
   sim::EventQueue queue;
   RunStats stats;
   // Each record is boxed into a std::function entry on the one global
-  // queue — the allocation-per-event reference the flat sharded engine
-  // is measured (and bit-compared) against.
+  // queue — the allocation-per-event reference the session-parallel
+  // executor is measured (and bit-compared) against.
   std::function<void(const EventRecord&)> schedule_record =
       [&](const EventRecord& record) {
         queue.schedule(record.time_ms, [&, record] {

@@ -1,8 +1,7 @@
-// Shard-boundary edge cases (ISSUE 9): an event landing exactly on the
-// window horizon, zero-delay cross-shard hops (lookahead collapses to the
-// fallback slice and the re-drain fixpoint carries correctness), and the
-// degenerate single-shard topology. All must match the serial engine
-// bit-for-bit.
+// Edge cases of the session-parallel executor: an empty model, a single
+// session (fewer sessions than chunks), zero-delay hops (every event of a
+// packet lands at one instant), and a hop chain cut short by the packet
+// TTL. All must match the serial engine bit-for-bit.
 
 #include <gtest/gtest.h>
 
@@ -22,50 +21,60 @@ const sim::ForwardingFabric& fabric() {
 
 AsId edge(std::size_t i) { return shared_internet().edge_ases()[i]; }
 
-PacketModel basic_model(const sim::ForwardingFabric& f,
-                        double interval_ms = 20.0) {
-  PacketModel model(f, sim::SimArchitecture::kIndirection);
+SessionParams roaming_session() {
   SessionParams p;
   p.correspondent = edge(3);
   p.schedule = {{0.0, edge(40)}, {300.0, edge(41)}, {600.0, edge(42)}};
-  p.interval_ms = interval_ms;
+  p.interval_ms = 20.0;
   p.duration_ms = 900.0;
-  model.add_session(p);
+  return p;
+}
+
+PacketModel basic_model(const sim::ForwardingFabric& f,
+                        std::size_t packet_ttl_hops = 64) {
+  PacketModel model(f, sim::SimArchitecture::kIndirection, nullptr,
+                    packet_ttl_hops);
+  model.add_session(roaming_session());
   SessionParams q;
   q.correspondent = edge(7);
   q.schedule = {{0.0, edge(60)}};
-  q.interval_ms = interval_ms;
+  q.interval_ms = 20.0;
   q.duration_ms = 900.0;
   model.add_session(q);
   return model;
 }
 
-TEST(DesEdgeCaseTest, EventExactlyAtWindowHorizon) {
-  // interval == window width, emissions start at 0: packet k's emit lands
-  // exactly at k * window_ms, i.e. precisely on the window horizon. The
-  // conservative rule is strict-less-than: a horizon-exact event belongs
-  // to the *next* window, and the digest must not care either way.
-  const double window = 8.0;
-  PacketModel model = basic_model(fabric(), window);
+void expect_matches_serial(const PacketModel& model) {
   const RunStats serial = run_serial(model);
-  for (const std::size_t shards : {4u, 16u}) {
-    const ShardMap map = ShardMap::from_topology(shared_internet(), shards);
-    EngineConfig config;
-    config.shard_count = shards;
-    config.window_ms = window;
-    ShardedEngine engine(model, map, config);
-    const RunStats stats = engine.run();
-    EXPECT_EQ(stats.digest, serial.digest) << "shards=" << shards;
-    EXPECT_EQ(stats.events, serial.events);
-    EXPECT_GT(stats.windows, 1u);
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    const RunStats parallel = run_parallel(model, {.threads = threads});
+    EXPECT_EQ(parallel.digest, serial.digest) << "threads=" << threads;
+    EXPECT_EQ(parallel.events, serial.events) << "threads=" << threads;
   }
 }
 
-TEST(DesEdgeCaseTest, ZeroDelayCrossShardHops) {
-  // A fabric where every link has zero delay: the auto lookahead is zero,
-  // the engine falls back to its minimum positive slice, and every
-  // cross-shard hop lands *inside* the still-open window. Only the
-  // re-drain fixpoint keeps such hops executing at their exact timestamp.
+TEST(DesEngineTest, EmptyModelRunsToNothing) {
+  PacketModel model(fabric(), sim::SimArchitecture::kIndirection);
+  const RunStats stats = run_parallel(model);
+  EXPECT_EQ(stats.events, 0u);
+  EXPECT_EQ(stats.digest, DeliveryDigest{});
+  EXPECT_EQ(run_serial(model).events, 0u);
+}
+
+TEST(DesEdgeCaseTest, SingleSession) {
+  // One session at eight threads: one chunk, seven idle workers.
+  PacketModel model(fabric(), sim::SimArchitecture::kIndirection);
+  model.add_session(roaming_session());
+  const RunStats stats = run_parallel(model, {.threads = 8});
+  EXPECT_EQ(stats.digest.sent, 45u);  // emits at 0, 20, ..., 880
+  EXPECT_GT(stats.digest.delivered, 0u);
+  expect_matches_serial(model);
+}
+
+TEST(DesEdgeCaseTest, ZeroDelayHops) {
+  // A fabric where every link has zero delay: every hop of a packet runs
+  // at its emission instant, so the serial reference orders them by FIFO
+  // alone. The executor must still deliver the same multiset.
   sim::FabricConfig zero;
   zero.per_hop_ms = 0.0;
   zero.inflation = 0.0;
@@ -77,49 +86,21 @@ TEST(DesEdgeCaseTest, ZeroDelayCrossShardHops) {
                                             .front()
                                             .neighbor),
             0.0);
-  PacketModel model = basic_model(flat);
-  const RunStats serial = run_serial(model);
-  for (const std::size_t shards : {4u, 16u}) {
-    const ShardMap map = ShardMap::from_topology(shared_internet(), shards);
-    EngineConfig config;
-    config.shard_count = shards;
-    ShardedEngine engine(model, map, config);
-    const RunStats stats = engine.run();
-    EXPECT_EQ(stats.digest, serial.digest) << "shards=" << shards;
-    EXPECT_EQ(stats.events, serial.events);
-    // Zero-delay handoffs must have forced at least one extra
-    // intra-window pass somewhere.
-    EXPECT_GT(stats.handoffs, 0u);
-    EXPECT_GT(stats.redrain_passes, 0u);
-  }
+  const PacketModel model = basic_model(flat);
+  EXPECT_EQ(run_serial(model).digest.delay_us_total, 0u);
+  expect_matches_serial(model);
 }
 
-TEST(DesEdgeCaseTest, SingleShardDegenerateTopology) {
-  PacketModel model = basic_model(fabric());
+TEST(DesEdgeCaseTest, HopChainHitsTtl) {
+  // A one-hop TTL: every packet to a mobile more than one AS-hop away is
+  // dropped mid-chain, so nothing is delivered and every hop chain ends
+  // in the TTL branch.
+  const PacketModel model = basic_model(fabric(), 1);
   const RunStats serial = run_serial(model);
-  const ShardMap map = ShardMap::from_topology(shared_internet(), 1);
-  EngineConfig config;
-  config.shard_count = 1;
-  ShardedEngine engine(model, map, config);
-  const RunStats stats = engine.run();
-  EXPECT_EQ(stats.digest, serial.digest);
-  EXPECT_EQ(stats.events, serial.events);
-  // One shard: every hop is shard-local, nothing ever crosses a mailbox.
-  EXPECT_EQ(stats.handoffs, 0u);
-}
-
-TEST(DesEdgeCaseTest, MoreShardsThanMetrosStillExact) {
-  // Shard count far above the metro-anchor count leaves some shards
-  // permanently empty; the window loop must not stall or drop events.
-  PacketModel model = basic_model(fabric());
-  const RunStats serial = run_serial(model);
-  const ShardMap map = ShardMap::from_topology(shared_internet(), 64);
-  EngineConfig config;
-  config.shard_count = 64;
-  ShardedEngine engine(model, map, config);
-  const RunStats stats = engine.run();
-  EXPECT_EQ(stats.digest, serial.digest);
-  EXPECT_EQ(stats.events, serial.events);
+  ASSERT_GT(serial.digest.sent, 0u);
+  EXPECT_EQ(serial.digest.delivered, 0u);
+  EXPECT_EQ(serial.digest.lost, serial.digest.sent);
+  expect_matches_serial(model);
 }
 
 }  // namespace

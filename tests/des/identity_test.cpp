@@ -1,7 +1,7 @@
-// The acceptance gate of DESIGN.md §4i/§4j: both sharded sync modes'
-// delivered-packet digests must equal the serial sim::EventQueue loop's
-// digest bit-for-bit for every architecture, at shard counts {1, 4, 16}
-// and thread counts {1, 8}, with and without an active FailurePlan.
+// The acceptance gate of DESIGN.md §4i: the session-parallel executor's
+// delivered-packet digest and event count must equal the serial
+// sim::EventQueue loop's bit-for-bit for every architecture, at thread
+// counts {1, 4, 8}, with and without an active FailurePlan.
 
 #include <gtest/gtest.h>
 
@@ -99,9 +99,9 @@ constexpr sim::SimArchitecture kAll[] = {
     sim::SimArchitecture::kNameBased,
 };
 
-TEST(DesIdentityTest, ShardedMatchesSerialAcrossMatrix) {
+TEST(DesIdentityTest, ParallelMatchesSerialAcrossMatrix) {
+  const sim::FailurePlan plan = faulty_plan();
   for (const bool with_faults : {false, true}) {
-    const sim::FailurePlan plan = faulty_plan();
     for (const sim::SimArchitecture arch : kAll) {
       PacketModel model(fabric(), arch, with_faults ? &plan : nullptr);
       add_population(model);
@@ -110,46 +110,30 @@ TEST(DesIdentityTest, ShardedMatchesSerialAcrossMatrix) {
       ASSERT_GT(serial.digest.delivered, 0u);
       EXPECT_EQ(serial.digest.sent,
                 serial.digest.delivered + serial.digest.lost);
-      for (const std::size_t shards : {1u, 4u, 16u}) {
-        const ShardMap map =
-            ShardMap::from_topology(shared_internet(), shards);
-        for (const std::size_t threads : {1u, 8u}) {
-          for (const SyncMode sync :
-               {SyncMode::kConservative, SyncMode::kOptimistic}) {
-            EngineConfig config;
-            config.shard_count = shards;
-            config.threads = threads;
-            config.sync = sync;
-            ShardedEngine engine(model, map, config);
-            const RunStats sharded = engine.run();
-            EXPECT_EQ(sharded.digest, serial.digest)
-                << "arch=" << static_cast<int>(arch)
-                << " shards=" << shards << " threads=" << threads
-                << " sync=" << static_cast<int>(sync)
-                << " faults=" << with_faults;
-            EXPECT_EQ(sharded.events, serial.events);
-            EXPECT_EQ(sharded.shard_events.size(), shards);
-            std::uint64_t across = 0;
-            for (const std::uint64_t count : sharded.shard_events) {
-              across += count;
-            }
-            EXPECT_EQ(across, sharded.events);
-            if (sharded.events > 0) {
-              EXPECT_GE(sharded.shard_imbalance, 1.0 - 1e-9);
-            }
-          }
-        }
+      for (const std::size_t threads : {1u, 4u, 8u}) {
+        const RunStats parallel = run_parallel(model, {.threads = threads});
+        EXPECT_EQ(parallel.digest, serial.digest)
+            << "arch=" << static_cast<int>(arch) << " threads=" << threads
+            << " faults=" << with_faults;
+        EXPECT_EQ(parallel.events, serial.events);
       }
     }
   }
 }
 
-TEST(DesIdentityTest, DigestIsThreadAndShardInvariantButFaultSensitive) {
+TEST(DesIdentityTest, DigestIsThreadInvariantButFaultSensitive) {
   const sim::FailurePlan plan = faulty_plan();
   PacketModel healthy(fabric(), sim::SimArchitecture::kIndirection);
   PacketModel faulted(fabric(), sim::SimArchitecture::kIndirection, &plan);
   add_population(healthy);
   add_population(faulted);
+  // Thread counts that do not divide the session count still cover every
+  // session exactly once.
+  const RunStats one = run_parallel(faulted, {.threads = 1});
+  for (const std::size_t threads : {2u, 3u, 16u}) {
+    EXPECT_EQ(run_parallel(faulted, {.threads = threads}).digest, one.digest)
+        << "threads=" << threads;
+  }
   // Faults must change the digest (otherwise the with-faults arm of the
   // matrix proves nothing).
   EXPECT_NE(run_serial(healthy).digest, run_serial(faulted).digest);
