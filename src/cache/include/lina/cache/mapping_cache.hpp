@@ -15,8 +15,9 @@
 // Policies (see policy.hpp): TTL+LRU (the Coras-modeled baseline), exact
 // O(1) LFU with frequency buckets, and the classic 2Q (FIFO probation +
 // ghost queue + protected LRU). A disabled cache (policy off or capacity
-// zero) holds no storage, always misses, and never counts anything, so
-// call sites guarded on `enabled()` are bit-identical to pre-cache code.
+// zero) holds no storage, always misses, and never counts anything; a
+// simulator guards each of its cache steps on `enabled()`, so with a
+// disabled cache every guard is false.
 //
 // Churn contract: a mobility update on the subscribed update stream calls
 // invalidate() or refresh() for the moved endpoint. Those are counted

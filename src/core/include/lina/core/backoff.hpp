@@ -8,8 +8,9 @@ namespace lina::core {
 
 /// Capped exponential retransmission backoff for control-plane operations
 /// (registrations, lookups, update relays, interest retransmissions) —
-/// shared by every simulator that retries under injected faults. The
-/// failure-free simulators never consult it, because nothing ever fails.
+/// shared by every simulator that retries under injected faults. Without
+/// an active fault plan the simulators never consult it, because nothing
+/// ever fails.
 ///
 /// Attempt numbering: attempt 0 is the first transmission; `delay_ms(a)`
 /// is the wait before retransmission `a + 1`, growing by `multiplier` per

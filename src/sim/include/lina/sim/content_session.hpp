@@ -36,8 +36,10 @@ struct ContentSessionConfig {
 
   std::uint64_t seed = 1;
 
-  /// Fault injection. nullptr or an empty plan leaves every result
-  /// bit-identical to the failure-free simulator; with faults active,
+  /// Fault injection. The fault-only steps (dark-AS checks, the
+  /// plan-aware next hop, retransmission) are guarded on an active plan,
+  /// so nullptr or an empty plan leaves every result bit-identical to a
+  /// config without the field; with faults active,
   /// interests route around dead ASes / cut links (a copy in an on-path
   /// content store still satisfies them — caching as resilience, §8) and
   /// die at a dark publisher. The plan must outlive the call.
@@ -47,12 +49,14 @@ struct ContentSessionConfig {
   /// interest that dies (dark AS, no route, stale belief at a publisher
   /// that moved) is reissued from the consumer on this backoff, probing
   /// for fault repair or belief convergence. Only consulted when a
-  /// non-empty FailurePlan is attached — the failure-free simulator's
-  /// staleness losses (the §8 phenomenon) are left untouched.
+  /// non-empty FailurePlan is attached; without one, staleness losses
+  /// (the §8 phenomenon) are not retried.
   RetryPolicy retry;
 
   /// Consumer-side FIB-miss resolution cache, keyed by segment. Off by
-  /// default (bit-identical to the pre-cache simulator). When enabled, a
+  /// default; every cache step is guarded on an enabled cache, so a
+  /// disabled one leaves results bit-identical to a config without the
+  /// field. When enabled, a
   /// publisher-satisfied retrieval installs segment -> publisher location
   /// at data arrival; a later interest for a cached segment skips belief
   /// forwarding and routes straight toward the cached location (content

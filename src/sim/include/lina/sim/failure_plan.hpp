@@ -38,8 +38,10 @@ struct FailureEvent {
 ///
 /// The plan is pure data plus point-in-time queries; the simulators and
 /// the ForwardingFabric consult it at every forwarding and control-plane
-/// decision. An empty plan is the contract for "failure-free": simulators
-/// take bit-identical code paths to the pre-failure-layer implementation.
+/// decision. An empty plan is the contract for "failure-free": every
+/// simulator guards its fault-only steps on a non-empty plan, so with an
+/// empty one every guard is false and results are bit-identical to
+/// attaching no plan.
 class FailurePlan {
  public:
   FailurePlan() = default;

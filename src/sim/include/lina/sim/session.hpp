@@ -30,9 +30,8 @@ struct MobilityStep {
 };
 
 /// Exponential-backoff retransmission policy for control-plane operations
-/// (registrations, lookups, update relays). Only consulted when a
-/// FailurePlan injects faults; the failure-free simulator never retries
-/// because nothing ever fails.
+/// (registrations, lookups, update relays). Retries are fault-only steps:
+/// without an active FailurePlan nothing is lost, so nothing is retried.
 using RetryPolicy = core::BackoffPolicy;
 
 /// A correspondent streaming constant-bit-rate packets at a mobile device.
@@ -67,18 +66,20 @@ struct SessionConfig {
   /// during name-based convergence).
   std::size_t packet_ttl_hops = 64;
 
-  /// Fault injection. nullptr or an empty plan is the failure-free
-  /// simulator: every code path (and therefore every result) is
-  /// bit-identical to a config without the field. The plan must outlive
-  /// the simulate_session call.
+  /// Fault injection. Every architecture runs one data path and one
+  /// control path whose fault-only steps are guarded on an active plan;
+  /// with nullptr or an empty plan every guard is false, so the results
+  /// are bit-identical to a config without the field. The plan must
+  /// outlive the simulate_session call.
   const FailurePlan* failures = nullptr;
 
   /// Control-plane retry behaviour under injected faults.
   RetryPolicy retry;
 
   /// Correspondent-side loc/ID mapping cache (DESIGN.md §4h). Off by
-  /// default — a disabled cache leaves every architecture bit-identical
-  /// to the pre-cache simulator. When enabled:
+  /// default. Every cache step is guarded on an enabled cache, so a
+  /// disabled one takes none of them and leaves every architecture
+  /// bit-identical to a config without the field. When enabled:
   ///  - indirection: a Mobile-IPv6-style binding cache. A hit sends the
   ///    packet straight to the cached care-of AS (no triangle); a miss
   ///    goes via the home agent, which pushes a binding update back to

@@ -1,5 +1,6 @@
 #include "lina/sim/content_session.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -140,28 +141,22 @@ class ContentSessionRunner {
     });
   }
 
-  /// Launches one interest from the consumer: a mapping-cache hit routes
-  /// it straight toward the cached publisher location, a miss (or a
-  /// disabled cache) falls back to belief forwarding.
+  /// Launches one interest from the consumer: a mapping-cache hit fixes
+  /// its destination to the cached publisher location, a miss (or a
+  /// disabled cache) leaves it to router beliefs.
   void issue(std::uint64_t segment, double send_time_ms,
              std::size_t attempt) {
+    std::optional<AsId> fixed;
     if (fib_cached_) {
-      const auto hit = fib_.probe(segment, queue_.now());
-      if (hit.has_value()) {
-        ++stats_.cache_guided_interests;
-        hop_directed(config_.consumer, *hit, segment, send_time_ms, 0.0,
-                     {}, 0, attempt);
-        return;
-      }
+      fixed = fib_.probe(segment, queue_.now());
+      if (fixed.has_value()) ++stats_.cache_guided_interests;
     }
-    std::vector<AsId> path;
-    hop(config_.consumer, segment, send_time_ms, 0.0, path, 0, attempt);
+    hop(config_.consumer, fixed, segment, send_time_ms, 0.0, {}, 0, attempt);
   }
 
   /// Reissues a dead interest from the consumer on the retry backoff.
-  /// Only the faulty simulator probes this way; the failure-free
-  /// simulator's staleness losses are the §8 phenomenon itself and stay
-  /// untouched (bit-identical results without a plan).
+  /// Retransmission is a fault-only step: without a plan, staleness
+  /// losses are the §8 phenomenon being measured and are not retried.
   void retransmit(std::uint64_t segment, double send_time_ms,
                   std::size_t attempt) {
     if (!faults_ || !config_.retry.attempts_left(attempt)) return;
@@ -173,57 +168,16 @@ class ContentSessionRunner {
         });
   }
 
-  /// Interest forwarding toward a fixed cached location instead of router
-  /// beliefs. Content stores on the way still answer; at the destination a
-  /// vanished publisher means the cached entry was stale — it is
-  /// invalidated so the next interest re-resolves via beliefs.
-  void hop_directed(AsId at, AsId dest, std::uint64_t segment,
-                    double send_time_ms, double forward_delay_ms,
-                    std::vector<AsId> path, std::size_t hops,
-                    std::size_t attempt) {
-    if (hops > config_.interest_ttl_hops) {
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    if (faults_ && plan_->as_down(at, queue_.now())) {
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    path.push_back(at);
-    if (store_at(at).lookup(segment)) {
-      satisfy(segment, send_time_ms, forward_delay_ms, path, true);
-      return;
-    }
-    if (at == dest) {
-      if (publisher_location(queue_.now()) == at) {
-        satisfy(segment, send_time_ms, forward_delay_ms, path, false);
-      } else {
-        fib_.invalidate(segment);
-        retransmit(segment, send_time_ms, attempt);
-      }
-      return;
-    }
-    const auto next = faults_
-                          ? fabric_.next_hop(at, dest, *plan_, queue_.now())
-                          : fabric_.next_hop(at, dest);
-    if (!next.has_value()) {
-      retransmit(segment, send_time_ms, attempt);
-      return;
-    }
-    const double link = fabric_.link_delay_ms(at, *next);
-    queue_.schedule_in(
-        link, [this, next = *next, dest, segment, send_time_ms,
-               forward_delay_ms, link, path = std::move(path), hops,
-               attempt]() mutable {
-          hop_directed(next, dest, segment, send_time_ms,
-                       forward_delay_ms + link, std::move(path), hops + 1,
-                       attempt);
-        });
-  }
-
-  void hop(AsId at, std::uint64_t segment, double send_time_ms,
-           double forward_delay_ms, std::vector<AsId> path,
-           std::size_t hops, std::size_t attempt) {
+  /// Forwards an interest one AS at a time, toward the `fixed` cached
+  /// location when there is one and toward each router's belief of the
+  /// publisher's attachment otherwise. Content stores on the way answer
+  /// either way. Arriving where the publisher no longer is loses the
+  /// interest: a stale belief (§8) or a stale cache entry, which is
+  /// invalidated so the next interest falls back to beliefs. A
+  /// retransmission may find a converged belief or a repaired fault.
+  void hop(AsId at, std::optional<AsId> fixed, std::uint64_t segment,
+           double send_time_ms, double forward_delay_ms,
+           std::vector<AsId> path, std::size_t hops, std::size_t attempt) {
     if (hops > config_.interest_ttl_hops) {  // interest dies
       retransmit(segment, send_time_ms, attempt);
       return;
@@ -234,21 +188,17 @@ class ContentSessionRunner {
       return;
     }
     path.push_back(at);
-
-    // Content-store check (skip the consumer's own node for the first
-    // lookup realism; keeping it is also defensible — we check everywhere).
     if (store_at(at).lookup(segment)) {
       satisfy(segment, send_time_ms, forward_delay_ms, path, true);
       return;
     }
-
-    const AsId dest = belief(at, queue_.now());
+    const AsId dest =
+        fixed.has_value() ? *fixed : belief(at, queue_.now());
     if (at == dest) {
       if (publisher_location(queue_.now()) == at) {
         satisfy(segment, send_time_ms, forward_delay_ms, path, false);
       } else {
-        // Stale belief and no cached copy — unreachable now (§8); a
-        // retransmission may find a converged belief or a repaired fault.
+        if (fixed.has_value()) fib_.invalidate(segment);
         retransmit(segment, send_time_ms, attempt);
       }
       return;
@@ -262,9 +212,10 @@ class ContentSessionRunner {
     }
     const double link = fabric_.link_delay_ms(at, *next);
     queue_.schedule_in(
-        link, [this, next = *next, segment, send_time_ms, forward_delay_ms,
-               link, path = std::move(path), hops, attempt]() mutable {
-          hop(next, segment, send_time_ms, forward_delay_ms + link,
+        link, [this, next = *next, fixed, segment, send_time_ms,
+               forward_delay_ms, link, path = std::move(path), hops,
+               attempt]() mutable {
+          hop(next, fixed, segment, send_time_ms, forward_delay_ms + link,
               std::move(path), hops + 1, attempt);
         });
   }
@@ -279,7 +230,8 @@ class ContentSessionRunner {
   ContentSessionStats stats_;
   std::unordered_map<AsId, ContentStore> stores_;
   /// Consumer FIB-miss resolution cache, segment -> publisher location
-  /// (ContentSessionConfig doc). Disabled = zero state, no new code paths.
+  /// (ContentSessionConfig doc). Disabled = zero state; every cache step
+  /// sits behind `fib_cached_`.
   cache::MappingCache<std::uint64_t, AsId> fib_;
   const bool fib_cached_;
 };
