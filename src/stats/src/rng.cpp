@@ -1,5 +1,6 @@
 #include "lina/stats/rng.hpp"
 
+#include <mutex>
 #include <stdexcept>
 
 namespace lina::stats {
@@ -69,6 +70,12 @@ double Rng::exponential(double rate) {
 std::size_t Rng::poisson(double mean) {
   if (mean < 0.0) throw std::invalid_argument("Rng::poisson: mean < 0");
   if (mean == 0.0) return 0;
+  // libstdc++ calls lgamma both when it builds the distribution and when
+  // it draws, and glibc's lgamma writes the global `signgam`. One
+  // process-wide lock across both keeps parallel workload generation
+  // race-free; the drawn values do not depend on it.
+  static std::mutex lgamma_mutex;
+  const std::lock_guard<std::mutex> lock(lgamma_mutex);
   return static_cast<std::size_t>(
       std::poisson_distribution<long>(mean)(engine_));
 }
