@@ -14,7 +14,6 @@
 #include "lina/obs/export.hpp"
 #include "lina/obs/json.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/timer.hpp"
 #include "lina/obs/trace.hpp"
 
 namespace {
@@ -50,7 +49,7 @@ int main() {
   depth.set(7.0);
   depth.set(3.0);
   for (int i = 1; i <= 100; ++i) delay.record(0.25 * i);
-  { ScopedTimer timer(delay); }
+  delay.record(0.0);
   TraceRing::instance().record("check.event", 1.5, 42.0);
 
   RunInfo info;

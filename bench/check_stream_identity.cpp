@@ -1,4 +1,4 @@
-// Stream-identity self-check (CI's trace job, also `ctest -L trace`):
+// Stream-identity self-check (the `trace_stream_identity` ctest, label trace):
 // generates the default paper workload (372 users x 30 days) in memory,
 // writes it to trace shards, replays the shards through the streamed
 // extent pipeline, and requires every CDF sample to match the in-memory

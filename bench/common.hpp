@@ -64,7 +64,6 @@
 #include "lina/obs/export.hpp"
 #include "lina/obs/metrics.hpp"
 #include "lina/obs/registry.hpp"
-#include "lina/obs/timer.hpp"
 #include "lina/obs/trace.hpp"
 #include "lina/prof/export.hpp"
 #include "lina/prof/prof.hpp"

@@ -2,7 +2,7 @@
 """Unit tests for compare_runs.py's gate and its one-line diagnostics:
 the schema_version mismatch check alongside the existing missing-file /
 unparseable-JSON / non-record paths. Stdlib only; registered in ctest as
-`compare_runs_py` (label des)."""
+`compare_runs_py` (label gate)."""
 
 import json
 import os

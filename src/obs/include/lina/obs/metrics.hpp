@@ -95,7 +95,6 @@ LINA_OBS_COUNTER(session_control_messages,
                  "lina.sim.session.control_messages")
 LINA_OBS_COUNTER(session_control_retries,
                  "lina.sim.session.control_retries")
-LINA_OBS_HISTOGRAM(session_run_wall_ms, "lina.sim.session.run_wall_ms")
 
 // Mapping caches on the resolution hot paths (lina::cache). Counters are
 // process-wide aggregates over every cache instance; per-instance counts

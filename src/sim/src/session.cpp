@@ -6,7 +6,6 @@
 
 #include "lina/cache/mapping_cache.hpp"
 #include "lina/obs/metrics.hpp"
-#include "lina/obs/timer.hpp"
 #include "lina/obs/trace.hpp"
 #include "lina/prof/prof.hpp"
 #include "lina/sim/event_queue.hpp"
@@ -771,7 +770,6 @@ SessionStats simulate_session(const ForwardingFabric& fabric,
                               SimArchitecture architecture,
                               const SessionConfig& config) {
   validate(config, fabric, architecture);
-  obs::ScopedTimer timer(obs::metric::session_run_wall_ms());
   SessionStats stats;
   switch (architecture) {
     case SimArchitecture::kIndirection: {

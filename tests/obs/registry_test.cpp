@@ -1,5 +1,5 @@
 // lina::obs core: registry semantics, concurrency, histogram quantile
-// edge cases, scoped timers, and the trace ring. Runs under the `obs`
+// edge cases, and the trace ring. Runs under the `obs`
 // ctest label.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lina/obs/registry.hpp"
-#include "lina/obs/timer.hpp"
 #include "lina/obs/trace.hpp"
 
 namespace lina::obs {
@@ -203,19 +202,6 @@ TEST_F(RegistryTest, QuantilesAreMonotoneOnMultiBucketData) {
   }
   EXPECT_NEAR(s.quantile(0.5), 5.0, 2.6);  // coarse buckets, honest range
   EXPECT_DOUBLE_EQ(s.quantile(1.0), 10.0);
-}
-
-// --- ScopedTimer ------------------------------------------------------
-
-TEST_F(RegistryTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  Histogram h = Registry::instance().histogram("test.hist.timer");
-  { ScopedTimer timer(h); }
-  EXPECT_EQ(h.count(), 0u);
-  {
-    EnabledScope scope;
-    ScopedTimer timer(h);
-  }
-  EXPECT_EQ(h.count(), 1u);
 }
 
 // --- TraceRing --------------------------------------------------------
