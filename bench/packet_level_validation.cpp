@@ -25,23 +25,6 @@ using namespace lina;
 
 namespace {
 
-/// Converts the first hours of a device trace into a sped-up AS-level
-/// mobility schedule (1 simulated second per trace hour). The schedule
-/// itself comes from the shared trace-replay helper so the streamed
-/// session driver (trace::simulate_sessions_streamed) runs the exact same
-/// sessions.
-sim::SessionConfig session_from_trace(const mobility::DeviceTrace& trace,
-                                      topology::AsId correspondent,
-                                      double hours) {
-  sim::SessionConfig config;
-  config.correspondent = correspondent;
-  config.duration_ms = hours * 1000.0;
-  config.packet_interval_ms = 25.0;
-  config.resolver_ttl_ms = 200.0;
-  config.schedule = trace::session_schedule_from_trace(trace, hours);
-  return config;
-}
-
 /// Streams the whole shard set and keeps the `keep` most mobile users
 /// (event count descending, user index ascending on ties — fully
 /// deterministic), bounded by one batch plus `keep` resident traces.
@@ -119,6 +102,28 @@ int main(int argc, char** argv) {
        sim::SimArchitecture::kNameBased, 3, false},
   };
 
+  // One session description per (user, variant); both the session
+  // simulator and the packet executor run it. The first 72 trace hours
+  // become a sped-up AS-level mobility schedule (1 simulated second per
+  // trace hour) from the shared trace-replay helper, so the streamed
+  // session driver (trace::simulate_sessions_streamed) runs the exact
+  // same sessions.
+  const auto session_config = [&](const mobility::DeviceTrace& trace,
+                                  const Variant& variant) {
+    sim::SessionConfig config;
+    config.correspondent = correspondent;
+    config.duration_ms = 72.0 * 1000.0;
+    config.packet_interval_ms = 25.0;
+    config.resolver_ttl_ms = 200.0;
+    config.schedule = trace::session_schedule_from_trace(trace, 72.0);
+    config.update_scope_hops = variant.scope;
+    // Fair comparison: the single resolver sits where the GNS pool's
+    // first replica sits (not conveniently next to the correspondent).
+    config.resolver_as = replicas.front();
+    if (variant.replicated) config.resolver_replicas = replicas;
+    return config;
+  };
+
   harness.phase("sessions");
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"architecture", "delivery", "median stretch",
@@ -129,15 +134,8 @@ int main(int argc, char** argv) {
     // match the serial loop exactly at any --threads value.
     const std::vector<sim::SessionStats> sessions =
         exec::parallel_map(mobile_users.size(), [&](std::size_t u) {
-          auto config =
-              session_from_trace(mobile_users[u], correspondent, 72.0);
-          config.update_scope_hops = variant.scope;
-          // Fair comparison: the single resolver sits where the GNS
-          // pool's first replica sits (not conveniently next to the
-          // correspondent).
-          config.resolver_as = replicas.front();
-          if (variant.replicated) config.resolver_replicas = replicas;
-          return sim::simulate_session(fabric, variant.arch, config);
+          return sim::simulate_session(
+              fabric, variant.arch, session_config(mobile_users[u], variant));
         });
     std::size_t sent = 0, delivered = 0, control = 0;
     stats::EmpiricalCdf stretch, outage;
@@ -179,18 +177,8 @@ int main(int argc, char** argv) {
   double engine_seconds = 0.0;
   for (const Variant& variant : variants) {
     des::PacketModel model(fabric, variant.arch);
-    for (const mobility::DeviceTrace& trace : mobile_users) {
-      des::SessionParams params;
-      params.correspondent = correspondent;
-      params.schedule = trace::session_schedule_from_trace(trace, 72.0);
-      params.duration_ms = 72.0 * 1000.0;
-      params.interval_ms = 25.0;
-      params.resolver_ttl_ms = 200.0;
-      params.resolver_as = replicas.front();
-      if (variant.replicated) params.resolver_replicas = replicas;
-      params.update_scope_hops = variant.scope;
-      model.add_session(params);
-    }
+    for (const mobility::DeviceTrace& trace : mobile_users)
+      model.add_session(session_config(trace, variant));
     const des::RunStats serial = des::run_serial(model);
     harness.result("des_" + variant.key + "_delivered",
                    static_cast<double>(serial.digest.delivered));

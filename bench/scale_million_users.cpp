@@ -10,8 +10,10 @@
 #include <sys/resource.h>
 
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -40,17 +42,21 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h * 1099511628211ULL;
 }
 
+/// A positive decimal count, or `fallback` when the flag was not given.
+/// Anything else exits 2, as the harness does for a bad --threads: a
+/// mistyped size must not silently run a different experiment.
 std::uint64_t parse_count(const std::string& text, std::uint64_t fallback,
                           const char* what) {
   if (text.empty()) return fallback;
-  try {
-    const std::uint64_t value = std::stoull(text);
-    if (value > 0) return value;
-  } catch (const std::exception&) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [parsed, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || parsed != end || value == 0) {
+    std::cerr << "scale_million_users: bad " << what << " value '" << text
+              << "'\n";
+    std::exit(2);
   }
-  std::cerr << "scale_million_users: bad " << what << " '" << text
-            << "', using " << fallback << "\n";
-  return fallback;
+  return value;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {

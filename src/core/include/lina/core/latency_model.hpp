@@ -47,8 +47,6 @@ class LatencyModel {
   [[nodiscard]] const LatencyConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] const std::vector<std::size_t>& bfs_from(
-      topology::AsId source) const;
   [[nodiscard]] std::optional<std::size_t> policy_distance(
       topology::AsId from, topology::AsId to) const;
 

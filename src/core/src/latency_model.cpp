@@ -1,8 +1,6 @@
 #include "lina/core/latency_model.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -16,40 +14,18 @@ namespace lina::core {
 
 using topology::AsId;
 
-namespace {
-constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-}
-
 LatencyModel::LatencyModel(const routing::SyntheticInternet& internet,
                            LatencyConfig config)
     : internet_(internet), config_(config) {}
-
-const std::vector<std::size_t>& LatencyModel::bfs_from(AsId source) const {
-  return bfs_cache_.get_or_build(source, [&] {
-    const auto& graph = internet_.graph();
-    std::vector<std::size_t> dist(graph.as_count(), kUnreached);
-    dist[source] = 0;
-    std::deque<AsId> queue{source};
-    while (!queue.empty()) {
-      const AsId u = queue.front();
-      queue.pop_front();
-      for (const auto& link : graph.links(u)) {
-        if (dist[link.neighbor] == kUnreached) {
-          dist[link.neighbor] = dist[u] + 1;
-          queue.push_back(link.neighbor);
-        }
-      }
-    }
-    return dist;
-  });
-}
 
 std::size_t LatencyModel::physical_as_hops(AsId from, AsId to) const {
   if (from >= internet_.graph().as_count() ||
       to >= internet_.graph().as_count())
     throw std::out_of_range("LatencyModel::physical_as_hops");
-  const std::size_t d = bfs_from(from)[to];
-  if (d == kUnreached)
+  const std::size_t d = bfs_cache_.get_or_build(from, [&] {
+    return topology::hop_distances(internet_.graph(), from);
+  })[to];
+  if (d == topology::kUnreachedHops)
     throw std::logic_error("LatencyModel: AS graph disconnected");
   return d;
 }

@@ -1,91 +1,50 @@
 #include "lina/des/model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace lina::des {
 
-namespace {
-
-[[nodiscard]] bool finite(double v) { return std::isfinite(v); }
-
-}  // namespace
-
 PacketModel::PacketModel(const sim::ForwardingFabric& fabric,
-                         sim::SimArchitecture architecture,
-                         const sim::FailurePlan* failures,
-                         std::size_t packet_ttl_hops)
-    : fabric_(&fabric),
-      arch_(architecture),
-      failures_(failures != nullptr && !failures->empty() ? failures
-                                                          : nullptr),
-      packet_ttl_hops_(static_cast<std::uint16_t>(
-          std::min<std::size_t>(packet_ttl_hops, 0xffff))) {}
+                         sim::SimArchitecture architecture)
+    : fabric_(&fabric), arch_(architecture) {}
 
-std::uint32_t PacketModel::add_session(const SessionParams& params) {
-  const std::size_t as_count = fabric_->internet().graph().as_count();
-  const auto check_as = [&](topology::AsId as, const char* what) {
-    if (as >= as_count)
-      throw std::invalid_argument(std::string("PacketModel: bad ") + what);
-  };
-  if (params.schedule.empty())
-    throw std::invalid_argument("PacketModel: empty schedule");
-  if (params.schedule.front().time_ms != 0.0)
+std::uint32_t PacketModel::add_session(
+    const sim::SessionConfig& config,
+    std::optional<std::uint64_t> digest_id) {
+  sim::validate_session(*fabric_, arch_, config);
+  if (config.mapping_cache.enabled())
     throw std::invalid_argument(
-        "PacketModel: schedule must start at time 0");
-  for (std::size_t i = 0; i < params.schedule.size(); ++i) {
-    const sim::MobilityStep& step = params.schedule[i];
-    if (!finite(step.time_ms) || step.time_ms < 0.0)
-      throw std::invalid_argument("PacketModel: non-finite step time");
-    if (i > 0 && step.time_ms < params.schedule[i - 1].time_ms)
-      throw std::invalid_argument("PacketModel: unsorted schedule");
-    check_as(step.as, "schedule AS");
-  }
-  if (!finite(params.start_ms) || params.start_ms < 0.0)
-    throw std::invalid_argument("PacketModel: bad start_ms");
-  if (!finite(params.duration_ms) || params.duration_ms <= 0.0)
-    throw std::invalid_argument("PacketModel: bad duration_ms");
-  if (!finite(params.interval_ms) || params.interval_ms <= 0.0)
-    throw std::invalid_argument("PacketModel: bad interval_ms");
-  check_as(params.correspondent, "correspondent");
+        "PacketModel: the packet model has no mapping cache");
 
   Spec spec;
-  spec.digest_id = params.digest_id.value_or(specs_.size());
-  spec.correspondent = params.correspondent;
-  spec.home_as = params.home_as.value_or(params.schedule.front().as);
-  check_as(spec.home_as, "home AS");
+  spec.digest_id = digest_id.value_or(specs_.size());
+  spec.failures = config.failures != nullptr && !config.failures->empty()
+                      ? config.failures
+                      : nullptr;
+  spec.correspondent = config.correspondent;
+  spec.home_as = config.home_as.value_or(config.schedule.front().as);
   spec.first_step = static_cast<std::uint32_t>(steps_.size());
-  spec.step_count = static_cast<std::uint32_t>(params.schedule.size());
-  spec.start_ms = params.start_ms;
-  spec.duration_ms = params.duration_ms;
-  spec.interval_ms = params.interval_ms;
-  spec.ttl_ms = params.resolver_ttl_ms;
-  spec.update_hop_ms = params.update_hop_ms;
-  spec.scope_hops = static_cast<std::uint32_t>(
-      std::min<std::size_t>(params.update_scope_hops, 0xffffffffULL));
-  steps_.insert(steps_.end(), params.schedule.begin(),
-                params.schedule.end());
+  spec.step_count = static_cast<std::uint32_t>(config.schedule.size());
+  spec.duration_ms = config.duration_ms;
+  spec.interval_ms = config.packet_interval_ms;
+  spec.ttl_ms = config.resolver_ttl_ms;
+  spec.update_hop_ms = config.update_hop_ms;
+  spec.scope_hops = config.update_scope_hops;
+  spec.packet_ttl_hops = static_cast<std::uint16_t>(
+      std::min<std::size_t>(config.packet_ttl_hops, 0xffff));
+  steps_.insert(steps_.end(), config.schedule.begin(),
+                config.schedule.end());
 
   spec.first_replica = static_cast<std::uint32_t>(replicas_.size());
   if (arch_ == sim::SimArchitecture::kNameResolution ||
       arch_ == sim::SimArchitecture::kReplicatedResolution) {
-    if (!finite(params.resolver_ttl_ms) || params.resolver_ttl_ms <= 0.0)
-      throw std::invalid_argument("PacketModel: bad resolver TTL");
-    std::vector<topology::AsId> pool;
-    if (arch_ == sim::SimArchitecture::kReplicatedResolution) {
-      if (params.resolver_replicas.empty())
-        throw std::invalid_argument(
-            "PacketModel: replicated resolution needs replicas");
-      pool = params.resolver_replicas;
-    } else {
-      if (!params.resolver_as.has_value())
-        throw std::invalid_argument(
-            "PacketModel: name resolution needs a resolver");
-      pool = {*params.resolver_as};
-    }
-    for (const topology::AsId replica : pool) check_as(replica, "replica");
+    std::vector<topology::AsId> pool =
+        arch_ == sim::SimArchitecture::kReplicatedResolution
+            ? config.resolver_replicas
+            : std::vector<topology::AsId>{
+                  config.resolver_as.value_or(config.correspondent)};
     // Nearest-first (ties by AS id): the correspondent resolves at the
     // first live replica in this order. Precomputed here so the per-event
     // choice is one ordered scan.
@@ -105,9 +64,6 @@ std::uint32_t PacketModel::add_session(const SessionParams& params) {
                        return a < b;
                      });
     replicas_.insert(replicas_.end(), pool.begin(), pool.end());
-  } else if (arch_ == sim::SimArchitecture::kNameBased) {
-    if (!finite(params.update_hop_ms) || params.update_hop_ms <= 0.0)
-      throw std::invalid_argument("PacketModel: bad update_hop_ms");
   }
   spec.replica_count =
       static_cast<std::uint32_t>(replicas_.size() - spec.first_replica);
@@ -120,35 +76,22 @@ EventRecord PacketModel::initial_event(std::uint32_t session) const {
   const Spec& s = specs_[session];
   EventRecord record;
   record.type = EventType::kEmit;
-  record.time_ms = s.start_ms;
+  record.time_ms = 0.0;
   record.session = session;
   record.packet = 0;
   record.at = s.correspondent;
   return record;
 }
 
-topology::AsId PacketModel::location_at(const Spec& s, double t) const {
-  const double rel = t - s.start_ms;
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  const sim::MobilityStep* end = begin + s.step_count;
-  // Last step with time <= rel; the first step is at 0 and rel >= 0 at
-  // every call site (packets cannot arrive before the session starts).
-  const sim::MobilityStep* it = std::upper_bound(
-      begin, end, rel, [](double value, const sim::MobilityStep& step) {
-        return value < step.time_ms;
-      });
-  return (it == begin ? begin : it - 1)->as;
-}
-
 topology::AsId PacketModel::home_belief(const Spec& s, double t) const {
   const sim::MobilityStep* begin = steps_.data() + s.first_step;
   for (std::uint32_t i = s.step_count; i-- > 1;) {
     const sim::MobilityStep& step = begin[i];
-    if (s.start_ms + step.time_ms > t) continue;  // not even sent yet
+    if (step.time_ms > t) continue;  // not even sent yet
     const std::optional<double> delay =
         fabric_->path_delay_ms(step.as, s.home_as);
     if (!delay.has_value()) continue;  // registration never arrived
-    if (s.start_ms + step.time_ms + *delay <= t) return step.as;
+    if (step.time_ms + *delay <= t) return step.as;
   }
   return begin[0].as;  // initial registration happens at session setup
 }
@@ -158,14 +101,12 @@ topology::AsId PacketModel::resolver_belief(const Spec& s, double t) const {
   const topology::AsId* replicas = replicas_.data() + s.first_replica;
   // Resolutions happen on the TTL grid; if every replica is dead at an
   // epoch the correspondent keeps the previous epoch's answer.
-  for (std::int64_t k =
-           static_cast<std::int64_t>((t - s.start_ms) / s.ttl_ms);
-       k >= 0; --k) {
-    const double epoch = s.start_ms + static_cast<double>(k) * s.ttl_ms;
+  for (auto k = static_cast<std::int64_t>(t / s.ttl_ms); k >= 0; --k) {
+    const double epoch = static_cast<double>(k) * s.ttl_ms;
     const topology::AsId* replica = nullptr;
     for (std::uint32_t r = 0; r < s.replica_count; ++r) {
-      if (failures_ != nullptr &&
-          failures_->resolver_down(replicas[r], epoch)) {
+      if (s.failures != nullptr &&
+          s.failures->resolver_down(replicas[r], epoch)) {
         continue;
       }
       replica = &replicas[r];
@@ -176,37 +117,20 @@ topology::AsId PacketModel::resolver_belief(const Spec& s, double t) const {
     // propagation delay from the new attachment to that replica.
     for (std::uint32_t i = s.step_count; i-- > 1;) {
       const sim::MobilityStep& step = begin[i];
-      if (s.start_ms + step.time_ms > epoch) continue;
+      if (step.time_ms > epoch) continue;
       const std::optional<double> delay =
           fabric_->path_delay_ms(step.as, *replica);
       if (!delay.has_value()) continue;
-      if (s.start_ms + step.time_ms + *delay <= epoch) return step.as;
+      if (step.time_ms + *delay <= epoch) return step.as;
     }
     return begin[0].as;
   }
   return begin[0].as;
 }
 
-topology::AsId PacketModel::router_belief(const Spec& s, topology::AsId at,
-                                          double t) const {
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  for (std::uint32_t i = s.step_count; i-- > 1;) {
-    const sim::MobilityStep& step = begin[i];
-    if (s.start_ms + step.time_ms > t) continue;
-    const std::size_t hops = fabric_->physical_hops(at, step.as);
-    if (s.scope_hops != 0xffffffffU && hops > s.scope_hops) continue;
-    if (s.start_ms + step.time_ms +
-            s.update_hop_ms * static_cast<double>(hops) <=
-        t) {
-      return step.as;
-    }
-  }
-  return begin[0].as;  // the globally announced initial attachment
-}
-
 void PacketModel::finish(const Spec& s, const EventRecord& ev,
                          DeliveryDigest& digest) const {
-  if (location_at(s, ev.time_ms) == ev.at) {
+  if (sim::location_at(schedule(s), ev.time_ms) == ev.at) {
     digest.add_delivered(s.digest_id, ev.packet, ev.time_ms, ev.sent_ms,
                          ev.hops, ev.at);
   } else {

@@ -16,23 +16,23 @@ PacketReplayStats replay_packets_streamed(
     const std::vector<mobility::DeviceTrace> batch =
         stream.next_batch(config.batch_users);
     if (batch.empty()) break;
-    PacketModel model(fabric, config.architecture, config.failures);
+    PacketModel model(fabric, config.architecture);
     for (const mobility::DeviceTrace& trace : batch) {
-      SessionParams params;
+      sim::SessionConfig session;
+      session.correspondent = config.correspondent;
+      session.schedule =
+          trace::session_schedule_from_trace(trace, config.hours);
+      session.duration_ms = config.hours * 1000.0;
+      session.packet_interval_ms = config.interval_ms;
+      session.resolver_ttl_ms = config.resolver_ttl_ms;
+      session.failures = config.failures;
+      if (!config.replicas.empty()) {
+        session.resolver_as = config.replicas.front();
+        session.resolver_replicas = config.replicas;
+      }
       // Global user index, not the batch-local session slot: the digest
       // must be invariant across batch sizes.
-      params.digest_id = next_user++;
-      params.correspondent = config.correspondent;
-      params.schedule =
-          trace::session_schedule_from_trace(trace, config.hours);
-      params.duration_ms = config.hours * 1000.0;
-      params.interval_ms = config.interval_ms;
-      params.resolver_ttl_ms = config.resolver_ttl_ms;
-      if (!config.replicas.empty()) {
-        params.resolver_as = config.replicas.front();
-        params.resolver_replicas = config.replicas;
-      }
-      model.add_session(params);
+      model.add_session(session, next_user++);
     }
     total.sessions += model.session_count();
     const RunStats run = config.serial ? run_serial(model)

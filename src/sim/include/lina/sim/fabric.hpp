@@ -94,7 +94,6 @@ class ForwardingFabric {
  private:
   const std::vector<topology::AsId>& next_hops_toward(
       topology::AsId dest) const;
-  const std::vector<std::size_t>& bfs_from(topology::AsId source) const;
   /// The AS graph with dead ASes isolated and cut links removed at the
   /// plan's data-plane epoch covering `time_ms`; same dense AS ids as the
   /// healthy graph. Cached per (plan stamp, epoch).

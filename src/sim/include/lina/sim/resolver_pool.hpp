@@ -22,7 +22,7 @@ class ResolverPool {
   /// Throws if `replicas` is empty or contains out-of-range ASes.
   /// Duplicate replica ASes are deduplicated (first occurrence kept):
   /// a pool is a set of resolver sites, and duplicates would silently
-  /// inflate update_message_count() and the propagation fan-out.
+  /// inflate the update relay fan-out.
   ResolverPool(const ForwardingFabric& fabric,
                std::vector<topology::AsId> replicas);
 
@@ -57,22 +57,6 @@ class ResolverPool {
 
   /// One-way delay from `client` to its nearest replica.
   [[nodiscard]] double nearest_replica_delay_ms(topology::AsId client) const;
-
-  /// Per-replica record-arrival times for an update issued at
-  /// `update_time_ms` from `device_as`: the update reaches the nearest
-  /// replica first and is relayed from there to every other replica.
-  /// Result is indexed like replicas().
-  [[nodiscard]] std::vector<double> propagation_times_ms(
-      topology::AsId device_as, double update_time_ms) const;
-
-  /// Messages one update costs: one device->primary message plus
-  /// replicas() - 1 primary->secondary relays, i.e. exactly replicas()
-  /// messages. A single-replica pool therefore costs exactly 1 (the
-  /// device->primary message; there is nothing to relay). Replicas are
-  /// deduplicated at construction, so duplicates never inflate this.
-  [[nodiscard]] std::size_t update_message_count() const {
-    return replicas_.size();
-  }
 
   /// Places `count` replicas on the prefix-announcing ASes nearest the
   /// world metro anchors (round-robin), the natural GNS deployment.

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -35,16 +36,20 @@ struct MobilityStep {
 using RetryPolicy = core::BackoffPolicy;
 
 /// A correspondent streaming constant-bit-rate packets at a mobile device.
+/// The one session description both engines take: simulate_session runs it
+/// on the stateful simulator, des::PacketModel::add_session on the packet
+/// model. validate_session states the rules it must meet.
 struct SessionConfig {
   topology::AsId correspondent = 0;
-  std::vector<MobilityStep> schedule;  // time-ordered, first at 0
+  std::vector<MobilityStep> schedule;  // strictly time-ordered, first at 0
   double packet_interval_ms = 20.0;
   double duration_ms = 10000.0;
 
   /// Indirection: the home agent AS (defaults to the initial attachment).
   std::optional<topology::AsId> home_as;
 
-  /// Name resolution: resolver AS and the correspondent's cache lifetime.
+  /// Name resolution: resolver AS (defaults to the correspondent) and the
+  /// correspondent's cache lifetime.
   std::optional<topology::AsId> resolver_as;
   double resolver_ttl_ms = 500.0;
 
@@ -150,12 +155,43 @@ struct SessionStats {
   }
 };
 
+/// The session rules both engines enforce before running a config:
+///  - the schedule is non-empty, its first step is at 0, and its times are
+///    finite and strictly increasing;
+///  - packet_interval_ms, duration_ms, resolver_ttl_ms and update_hop_ms
+///    are finite and positive;
+///  - kReplicatedResolution has at least one resolver replica;
+///  - the retry policy and the mapping-cache config are well formed.
+/// Throws std::invalid_argument when one fails, and std::out_of_range when
+/// an AS the config names (correspondent, schedule, home agent, resolver,
+/// replica, failure-plan element) is not in the fabric's graph.
+void validate_session(const ForwardingFabric& fabric,
+                      SimArchitecture architecture,
+                      const SessionConfig& config);
+
+/// Where the mobile is attached at `time_ms`: the last step of the
+/// (validated) schedule at or before it.
+[[nodiscard]] topology::AsId location_at(
+    std::span<const MobilityStep> schedule, double time_ms);
+
+/// Name-based routing: the attachment router `at` believes the name maps
+/// to at `time_ms`. That is the newest step at or before `time_ms` whose
+/// flooding wavefront, spreading update_hop_ms per physical AS hop from
+/// the new attachment, has reached `at`. Scoped flooding (§8 hybrid):
+/// a step is only announced within `scope_hops` of its attachment
+/// (SIZE_MAX = global); the initial attachment is announced globally and
+/// is what out-of-scope routers keep routing toward.
+[[nodiscard]] topology::AsId wavefront_belief(
+    const ForwardingFabric& fabric, std::span<const MobilityStep> schedule,
+    topology::AsId at, double time_ms, double update_hop_ms,
+    std::size_t scope_hops);
+
 /// Runs one correspondent->mobile session under the chosen architecture on
 /// a packet-by-packet discrete-event simulation over the fabric. Validates
 /// the §2/§5 trade-offs dynamically: indirection pays stretch, name
 /// resolution pays staleness on mobility, name-based routing pays
 /// convergence (and router updates) but no steady-state stretch.
-/// Throws std::invalid_argument on malformed configs.
+/// Throws as validate_session does on malformed configs.
 [[nodiscard]] SessionStats simulate_session(const ForwardingFabric& fabric,
                                             SimArchitecture architecture,
                                             const SessionConfig& config);

@@ -1,5 +1,6 @@
 #include "lina/sim/content_session.hpp"
 
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -33,15 +34,21 @@ class ContentSessionRunner {
       throw std::invalid_argument(
           "simulate_content_session: publisher schedule must start at 0");
     for (std::size_t i = 1; i < config.publisher_schedule.size(); ++i) {
-      if (config.publisher_schedule[i].time_ms <=
-          config.publisher_schedule[i - 1].time_ms)
+      const double time = config.publisher_schedule[i].time_ms;
+      if (!std::isfinite(time) ||
+          !(time > config.publisher_schedule[i - 1].time_ms))
         throw std::invalid_argument(
-            "simulate_content_session: schedule times must increase");
+            "simulate_content_session: schedule times must be finite and "
+            "increase");
     }
-    if (config.request_interval_ms <= 0.0 || config.duration_ms <= 0.0 ||
-        config.update_hop_ms <= 0.0 || config.catalog_segments == 0)
+    const auto positive = [](double value) {
+      return std::isfinite(value) && value > 0.0;
+    };
+    if (!positive(config.request_interval_ms) ||
+        !positive(config.duration_ms) || !positive(config.update_hop_ms) ||
+        config.catalog_segments == 0)
       throw std::invalid_argument(
-          "simulate_content_session: non-positive parameter");
+          "simulate_content_session: non-finite or non-positive parameter");
     if (!config.retry.valid())
       throw std::invalid_argument(
           "simulate_content_session: malformed retry policy");

@@ -1,8 +1,6 @@
 #include "lina/sim/fabric.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -17,10 +15,6 @@
 namespace lina::sim {
 
 using topology::AsId;
-
-namespace {
-constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-}
 
 ForwardingFabric::ForwardingFabric(const routing::SyntheticInternet& internet,
                                    FabricConfig config)
@@ -87,28 +81,6 @@ std::optional<std::size_t> ForwardingFabric::path_hops(AsId from,
       throw std::logic_error("ForwardingFabric: routing loop");
   }
   return hops;
-}
-
-const std::vector<std::size_t>& ForwardingFabric::bfs_from(
-    AsId source) const {
-  return bfs_cache_.get_or_build(source, [&] {
-    PROF_SPAN("lina.fabric.bfs_row");
-    const auto& graph = internet_->graph();
-    std::vector<std::size_t> dist(graph.as_count(), kUnreached);
-    dist[source] = 0;
-    std::deque<AsId> queue{source};
-    while (!queue.empty()) {
-      const AsId u = queue.front();
-      queue.pop_front();
-      for (const auto& link : graph.links(u)) {
-        if (dist[link.neighbor] == kUnreached) {
-          dist[link.neighbor] = dist[u] + 1;
-          queue.push_back(link.neighbor);
-        }
-      }
-    }
-    return dist;
-  });
 }
 
 bool ForwardingFabric::policy_path_impaired(AsId from, AsId to,
@@ -244,8 +216,11 @@ std::size_t ForwardingFabric::physical_hops(AsId from, AsId to) const {
   if (from >= internet_->graph().as_count() ||
       to >= internet_->graph().as_count())
     throw std::out_of_range("ForwardingFabric::physical_hops");
-  const std::size_t d = bfs_from(from)[to];
-  if (d == kUnreached)
+  const std::size_t d = bfs_cache_.get_or_build(from, [&] {
+    PROF_SPAN("lina.fabric.bfs_row");
+    return topology::hop_distances(internet_->graph(), from);
+  })[to];
+  if (d == topology::kUnreachedHops)
     throw std::logic_error("ForwardingFabric: disconnected AS graph");
   return d;
 }

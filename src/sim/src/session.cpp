@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "lina/cache/mapping_cache.hpp"
 #include "lina/obs/metrics.hpp"
@@ -29,47 +30,94 @@ std::string_view sim_architecture_name(SimArchitecture arch) {
   throw std::invalid_argument("sim_architecture_name: unknown architecture");
 }
 
-namespace {
-
-void validate(const SessionConfig& config, const ForwardingFabric& fabric,
-              SimArchitecture architecture) {
+void validate_session(const ForwardingFabric& fabric,
+                      SimArchitecture architecture,
+                      const SessionConfig& config) {
   if (config.schedule.empty())
-    throw std::invalid_argument("simulate_session: empty mobility schedule");
+    throw std::invalid_argument("validate_session: empty mobility schedule");
   if (config.schedule.front().time_ms != 0.0)
     throw std::invalid_argument(
-        "simulate_session: schedule must start at time 0");
+        "validate_session: schedule must start at time 0");
   for (std::size_t i = 1; i < config.schedule.size(); ++i) {
-    if (config.schedule[i].time_ms <= config.schedule[i - 1].time_ms)
+    const double time = config.schedule[i].time_ms;
+    if (!std::isfinite(time) || !(time > config.schedule[i - 1].time_ms))
       throw std::invalid_argument(
-          "simulate_session: schedule times must increase");
+          "validate_session: schedule times must be finite and increase");
   }
-  if (config.packet_interval_ms <= 0.0 || config.duration_ms <= 0.0)
-    throw std::invalid_argument("simulate_session: non-positive timing");
-  if (config.update_hop_ms <= 0.0 || config.resolver_ttl_ms <= 0.0)
-    throw std::invalid_argument("simulate_session: non-positive delays");
+  for (const double timing :
+       {config.packet_interval_ms, config.duration_ms,
+        config.resolver_ttl_ms, config.update_hop_ms}) {
+    if (!std::isfinite(timing) || timing <= 0.0)
+      throw std::invalid_argument(
+          "validate_session: timing must be finite and positive");
+  }
   if (architecture == SimArchitecture::kReplicatedResolution &&
       config.resolver_replicas.empty())
     throw std::invalid_argument(
-        "simulate_session: kReplicatedResolution needs resolver_replicas");
+        "validate_session: kReplicatedResolution needs resolver_replicas");
   if (!config.retry.valid())
-    throw std::invalid_argument("simulate_session: malformed retry policy");
+    throw std::invalid_argument("validate_session: malformed retry policy");
   if (!config.mapping_cache.valid())
-    throw std::invalid_argument("simulate_session: non-positive cache TTL");
+    throw std::invalid_argument("validate_session: non-positive cache TTL");
   const std::size_t as_count = fabric.internet().graph().as_count();
-  if (config.correspondent >= as_count)
-    throw std::out_of_range("simulate_session: correspondent AS");
-  for (const MobilityStep& step : config.schedule) {
-    if (step.as >= as_count)
-      throw std::out_of_range("simulate_session: schedule AS");
-  }
+  const auto check_as = [&](AsId as, const char* what) {
+    if (as >= as_count)
+      throw std::out_of_range(std::string("validate_session: ") + what);
+  };
+  check_as(config.correspondent, "correspondent AS");
+  for (const MobilityStep& step : config.schedule)
+    check_as(step.as, "schedule AS");
+  if (config.home_as.has_value()) check_as(*config.home_as, "home AS");
+  if (config.resolver_as.has_value())
+    check_as(*config.resolver_as, "resolver AS");
+  for (const AsId replica : config.resolver_replicas)
+    check_as(replica, "replica AS");
   if (config.failures != nullptr) {
     for (const FailureEvent& event : config.failures->events()) {
-      if (event.element >= as_count ||
-          (event.kind == FailureKind::kLinkCut && event.element_b >= as_count))
-        throw std::out_of_range("simulate_session: failure-plan AS");
+      check_as(event.element, "failure-plan AS");
+      if (event.kind == FailureKind::kLinkCut)
+        check_as(event.element_b, "failure-plan AS");
     }
   }
 }
+
+namespace {
+
+/// How many steps of an increasing schedule are made by `time_ms`.
+std::size_t steps_made(std::span<const MobilityStep> schedule,
+                       double time_ms) {
+  return static_cast<std::size_t>(
+      std::upper_bound(schedule.begin(), schedule.end(), time_ms,
+                       [](double value, const MobilityStep& step) {
+                         return value < step.time_ms;
+                       }) -
+      schedule.begin());
+}
+
+}  // namespace
+
+AsId location_at(std::span<const MobilityStep> schedule, double time_ms) {
+  return schedule[std::max<std::size_t>(steps_made(schedule, time_ms), 1) - 1]
+      .as;
+}
+
+AsId wavefront_belief(const ForwardingFabric& fabric,
+                      std::span<const MobilityStep> schedule, AsId at,
+                      double time_ms, double update_hop_ms,
+                      std::size_t scope_hops) {
+  // Newest first over the steps made by `time_ms`; step 0 is the global
+  // announcement every router starts from.
+  for (std::size_t i = steps_made(schedule, time_ms); i-- > 1;) {
+    const MobilityStep& step = schedule[i];
+    const std::size_t hops = fabric.physical_hops(at, step.as);
+    if (hops > scope_hops) continue;
+    if (step.time_ms + update_hop_ms * static_cast<double>(hops) <= time_ms)
+      return step.as;
+  }
+  return schedule.front().as;
+}
+
+namespace {
 
 /// Shared session machinery; architecture subclasses provide the control
 /// plane (on_move) and the data plane (send_packet).
@@ -140,12 +188,7 @@ class SessionRunner {
   virtual void send_packet(double send_time_ms) = 0;
 
   [[nodiscard]] AsId device_location(double time_ms) const {
-    AsId location = config_.schedule.front().as;
-    for (const MobilityStep& step : config_.schedule) {
-      if (step.time_ms > time_ms) break;
-      location = step.as;
-    }
-    return location;
+    return location_at(config_.schedule, time_ms);
   }
 
   void deliver(double send_time_ms) {
@@ -611,30 +654,17 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
     });
   }
 
-  /// Device -> primary replica, then primary -> every other replica.
+  /// Device -> primary replica, then primary -> every other replica: the
+  /// primary relays when the update reaches it. The device registers with
+  /// its nearest replica, under faults its nearest *live* one; replicas
+  /// that are dead, or whose relay is lost or unroutable, miss this update
+  /// and serve their stale record until the next one.
   void register_location(AsId new_as, std::size_t attempt) override {
-    // Two arms on purpose: without faults every replica's arrival is
-    // scheduled at move time from the closed-form
-    // ResolverPool::propagation_times_ms, which prices an unroutable leg
-    // at 0 ms; under faults the primary relays when the update reaches it
-    // and an unroutable relay is dropped. These are different
-    // computations, not one path with guards.
-    if (!faults_) {
-      count_control(pool_.update_message_count());
-      const auto arrivals = pool_.propagation_times_ms(new_as, queue_.now());
-      for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        queue_.schedule(arrivals[i],
-                        [this, i, new_as] { write_record(i, new_as); });
-      }
-      return;
-    }
-    // The device registers with the nearest *live* replica and that
-    // primary relays to the surviving rest; replicas that are dead (or
-    // whose relay is lost) simply miss this update and serve their stale
-    // record until the next one.
+    obs::metric::resolver_updates().add();
     count_attempt(attempt);
     const auto primary =
-        pool_.nearest_live_replica(new_as, *plan_, queue_.now());
+        faults_ ? pool_.nearest_live_replica(new_as, *plan_, queue_.now())
+                : std::optional<AsId>(pool_.nearest_replica(new_as));
     const auto to_primary = primary.has_value()
                                 ? leg_delay(new_as, *primary)
                                 : std::nullopt;
@@ -645,7 +675,7 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
     }
     queue_.schedule_in(*to_primary, [this, new_as, primary = *primary,
                                      attempt] {
-      if (plan_->resolver_down(primary, queue_.now())) {
+      if (faults_ && plan_->resolver_down(primary, queue_.now())) {
         retry_registration(new_as, attempt);
         return;
       }
@@ -657,7 +687,8 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
         const auto relay = leg_delay(primary, replica);
         if (!control_delivered() || !relay.has_value()) continue;
         queue_.schedule_in(*relay, [this, i, new_as] {
-          if (!plan_->resolver_down(pool_.replicas()[i], queue_.now()))
+          if (!faults_ ||
+              !plan_->resolver_down(pool_.replicas()[i], queue_.now()))
             write_record(i, new_as);
         });
       }
@@ -671,38 +702,15 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
 
 class NameBasedRunner final : public SessionRunner {
  public:
-  NameBasedRunner(const ForwardingFabric& fabric, const SessionConfig& config)
-      : SessionRunner(fabric, config) {
-    history_.push_back({0.0, config.schedule.front().as});
-  }
+  using SessionRunner::SessionRunner;
 
  private:
-  /// The attachment AS router `at` currently believes the name maps to:
-  /// the newest move whose flooding wavefront (update_hop_ms per physical
-  /// AS hop) has reached `at` by `time_ms`. Scoped flooding (§8 hybrid):
-  /// moves are only ever announced within update_scope_hops of the new
-  /// attachment; out-of-scope routers fall back to the initial, globally
-  /// announced attachment.
-  [[nodiscard]] AsId belief(AsId at, double time_ms) const {
-    for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-      const std::size_t hops = fabric_.physical_hops(at, it->as);
-      const bool announced =
-          it == history_.rend() - 1 || hops <= config_.update_scope_hops;
-      if (!announced) continue;
-      const double arrival =
-          it->time_ms +
-          static_cast<double>(hops) * config_.update_hop_ms;
-      if (arrival <= time_ms) return it->as;
-    }
-    return history_.front().as;
-  }
-
   void on_move(AsId new_as) override {
     // The flooding wavefront is massively redundant (every router relays),
     // so a lost copy or a dead AS does not stop it: name-based routing has
     // no control-plane single point of failure to crash. Its failure mode
-    // is the data plane rerouting around dead elements (stretch).
-    history_.push_back({queue_.now(), new_as});
+    // is the data plane rerouting around dead elements (stretch). Router
+    // beliefs are the closed-form wavefront_belief over the schedule.
     // Flooding cost: every router within scope (everyone when global).
     const auto& graph = fabric_.internet().graph();
     if (config_.update_scope_hops >= graph.as_count()) {
@@ -725,7 +733,9 @@ class NameBasedRunner final : public SessionRunner {
   void hop(AsId at, double send_time_ms, std::size_t hops) {
     if (hops > config_.packet_ttl_hops) return;  // dropped in a loop
     if (faults_ && plan_->as_down(at, queue_.now())) return;  // router dark
-    const AsId dest = belief(at, queue_.now());
+    const AsId dest =
+        wavefront_belief(fabric_, config_.schedule, at, queue_.now(),
+                         config_.update_hop_ms, config_.update_scope_hops);
     if (at == dest) {
       if (device_location(queue_.now()) == at) deliver(send_time_ms);
       return;  // belief said "here" but the device has left: lost
@@ -739,14 +749,7 @@ class NameBasedRunner final : public SessionRunner {
       hop(next, send_time_ms, hops + 1);
     });
   }
-
-  std::vector<MobilityStep> history_;
 };
-
-
-}  // namespace
-
-namespace {
 
 /// Mirrors the finished SessionStats into the process-wide registry.
 /// Observation only: the stats object itself is never touched, which is
@@ -769,7 +772,7 @@ void mirror_to_registry(const SessionStats& stats) {
 SessionStats simulate_session(const ForwardingFabric& fabric,
                               SimArchitecture architecture,
                               const SessionConfig& config) {
-  validate(config, fabric, architecture);
+  validate_session(fabric, architecture, config);
   SessionStats stats;
   switch (architecture) {
     case SimArchitecture::kIndirection: {

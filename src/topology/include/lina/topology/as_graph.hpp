@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -73,6 +74,16 @@ class AsGraph {
   std::vector<GeoPoint> locations_;
   std::size_t link_count_ = 0;
 };
+
+/// hop_distances() entry of an AS the source cannot reach.
+inline constexpr std::size_t kUnreachedHops =
+    std::numeric_limits<std::size_t>::max();
+
+/// Breadth-first physical hop count from `source` to every AS over all
+/// links, ignoring business relationships; kUnreachedHops where no path
+/// exists. Throws on an out-of-range source.
+[[nodiscard]] std::vector<std::size_t> hop_distances(const AsGraph& graph,
+                                                     AsId source);
 
 /// Configuration for the hierarchical Internet generator.
 struct InternetConfig {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 
 namespace lina::topology {
@@ -192,6 +193,25 @@ AsGraph make_hierarchical_internet(const InternetConfig& config,
   }
 
   return g;
+}
+
+std::vector<std::size_t> hop_distances(const AsGraph& graph, AsId source) {
+  if (source >= graph.as_count())
+    throw std::out_of_range("hop_distances: source out of range");
+  std::vector<std::size_t> dist(graph.as_count(), kUnreachedHops);
+  dist[source] = 0;
+  std::deque<AsId> queue{source};
+  while (!queue.empty()) {
+    const AsId u = queue.front();
+    queue.pop_front();
+    for (const AsGraph::Link& link : graph.links(u)) {
+      if (dist[link.neighbor] == kUnreachedHops) {
+        dist[link.neighbor] = dist[u] + 1;
+        queue.push_back(link.neighbor);
+      }
+    }
+  }
+  return dist;
 }
 
 }  // namespace lina::topology

@@ -21,26 +21,27 @@ const sim::ForwardingFabric& fabric() {
 
 AsId edge(std::size_t i) { return shared_internet().edge_ases()[i]; }
 
-SessionParams roaming_session() {
-  SessionParams p;
-  p.correspondent = edge(3);
-  p.schedule = {{0.0, edge(40)}, {300.0, edge(41)}, {600.0, edge(42)}};
-  p.interval_ms = 20.0;
-  p.duration_ms = 900.0;
-  return p;
+sim::SessionConfig roaming_session(std::size_t packet_ttl_hops = 64) {
+  sim::SessionConfig config;
+  config.correspondent = edge(3);
+  config.schedule = {{0.0, edge(40)}, {300.0, edge(41)}, {600.0, edge(42)}};
+  config.packet_interval_ms = 20.0;
+  config.duration_ms = 900.0;
+  config.packet_ttl_hops = packet_ttl_hops;
+  return config;
 }
 
 PacketModel basic_model(const sim::ForwardingFabric& f,
                         std::size_t packet_ttl_hops = 64) {
-  PacketModel model(f, sim::SimArchitecture::kIndirection, nullptr,
-                    packet_ttl_hops);
-  model.add_session(roaming_session());
-  SessionParams q;
-  q.correspondent = edge(7);
-  q.schedule = {{0.0, edge(60)}};
-  q.interval_ms = 20.0;
-  q.duration_ms = 900.0;
-  model.add_session(q);
+  PacketModel model(f, sim::SimArchitecture::kIndirection);
+  model.add_session(roaming_session(packet_ttl_hops));
+  sim::SessionConfig stationary;
+  stationary.correspondent = edge(7);
+  stationary.schedule = {{0.0, edge(60)}};
+  stationary.packet_interval_ms = 20.0;
+  stationary.duration_ms = 900.0;
+  stationary.packet_ttl_hops = packet_ttl_hops;
+  model.add_session(stationary);
   return model;
 }
 

@@ -32,27 +32,30 @@ std::vector<AsId> metro_locals(std::size_t anchor, std::size_t k) {
 /// A small mixed population: stationary, metro-local roamers, and one
 /// cross-metro mover, so every belief path (stale resolver answers,
 /// wavefront re-aiming, triangle re-addressing) fires.
-void add_population(PacketModel& model) {
+void add_population(PacketModel& model,
+                    const sim::FailurePlan* failures = nullptr) {
   const std::vector<AsId> near0 = metro_locals(0, 4);
   const std::vector<AsId> near1 = metro_locals(1, 3);
   {
-    SessionParams p;
+    sim::SessionConfig p;
+    p.failures = failures;
     p.correspondent = edge(0);
     p.schedule = {{0.0, edge(25)}};
-    p.interval_ms = 40.0;
+    p.packet_interval_ms = 40.0;
     p.duration_ms = 1600.0;
     p.resolver_as = edge(10);
     p.resolver_replicas = {edge(10), edge(30), edge(50)};
     model.add_session(p);
   }
   {
-    SessionParams p;
+    sim::SessionConfig p;
+    p.failures = failures;
     p.correspondent = edge(1);
     p.schedule = {{0.0, near0[0]},
                   {400.0, near0[1]},
                   {800.0, near0[2]},
                   {1200.0, near0[3]}};
-    p.interval_ms = 25.0;
+    p.packet_interval_ms = 25.0;
     p.duration_ms = 1600.0;
     p.resolver_ttl_ms = 120.0;
     p.resolver_as = edge(10);
@@ -60,10 +63,11 @@ void add_population(PacketModel& model) {
     model.add_session(p);
   }
   {
-    SessionParams p;
+    sim::SessionConfig p;
+    p.failures = failures;
     p.correspondent = edge(2);
     p.schedule = {{0.0, near0[1]}, {700.0, near1[0]}, {1300.0, near1[1]}};
-    p.interval_ms = 30.0;
+    p.packet_interval_ms = 30.0;
     p.duration_ms = 1500.0;
     p.resolver_ttl_ms = 90.0;
     p.resolver_as = edge(30);
@@ -103,8 +107,8 @@ TEST(DesIdentityTest, ParallelMatchesSerialAcrossMatrix) {
   const sim::FailurePlan plan = faulty_plan();
   for (const bool with_faults : {false, true}) {
     for (const sim::SimArchitecture arch : kAll) {
-      PacketModel model(fabric(), arch, with_faults ? &plan : nullptr);
-      add_population(model);
+      PacketModel model(fabric(), arch);
+      add_population(model, with_faults ? &plan : nullptr);
       const RunStats serial = run_serial(model);
       ASSERT_GT(serial.digest.sent, 0u);
       ASSERT_GT(serial.digest.delivered, 0u);
@@ -124,9 +128,9 @@ TEST(DesIdentityTest, ParallelMatchesSerialAcrossMatrix) {
 TEST(DesIdentityTest, DigestIsThreadInvariantButFaultSensitive) {
   const sim::FailurePlan plan = faulty_plan();
   PacketModel healthy(fabric(), sim::SimArchitecture::kIndirection);
-  PacketModel faulted(fabric(), sim::SimArchitecture::kIndirection, &plan);
+  PacketModel faulted(fabric(), sim::SimArchitecture::kIndirection);
   add_population(healthy);
-  add_population(faulted);
+  add_population(faulted, &plan);
   // Thread counts that do not divide the session count still cover every
   // session exactly once.
   const RunStats one = run_parallel(faulted, {.threads = 1});

@@ -53,8 +53,9 @@ struct Outcome {
   std::uint64_t delay_us_total = 0;
 };
 
-Outcome run_sim(sim::SimArchitecture arch,
-                const std::vector<sim::MobilityStep>& schedule) {
+/// The one session description both engines run.
+sim::SessionConfig session_config(
+    const std::vector<sim::MobilityStep>& schedule) {
   sim::SessionConfig config;
   config.correspondent = correspondent();
   config.schedule = schedule;
@@ -63,6 +64,10 @@ Outcome run_sim(sim::SimArchitecture arch,
   config.resolver_as = replicas().front();
   config.resolver_ttl_ms = kTtlMs;
   config.resolver_replicas = replicas();
+  return config;
+}
+
+Outcome run_sim(sim::SimArchitecture arch, const sim::SessionConfig& config) {
   const sim::SessionStats stats = simulate_session(fabric(), arch, config);
   Outcome outcome{stats.packets_sent, stats.packets_delivered, 0};
   // Same rounding as DeliveryDigest::add_delivered.
@@ -72,18 +77,9 @@ Outcome run_sim(sim::SimArchitecture arch,
   return outcome;
 }
 
-Outcome run_des(sim::SimArchitecture arch,
-                const std::vector<sim::MobilityStep>& schedule) {
+Outcome run_des(sim::SimArchitecture arch, const sim::SessionConfig& config) {
   PacketModel model(fabric(), arch);
-  SessionParams params;
-  params.correspondent = correspondent();
-  params.schedule = schedule;
-  params.interval_ms = kIntervalMs;
-  params.duration_ms = kHours * 1000.0;
-  params.resolver_as = replicas().front();
-  params.resolver_ttl_ms = kTtlMs;
-  params.resolver_replicas = replicas();
-  model.add_session(params);
+  model.add_session(config);
   const DeliveryDigest digest = run_serial(model).digest;
   return {digest.sent, digest.delivered, digest.delay_us_total};
 }
@@ -97,9 +93,10 @@ struct Mismatches {
 Mismatches compare(sim::SimArchitecture arch) {
   Mismatches mismatches;
   for (const mobility::DeviceTrace& trace : shared_device_traces()) {
-    const auto schedule = trace::session_schedule_from_trace(trace, kHours);
-    const Outcome sim = run_sim(arch, schedule);
-    const Outcome des = run_des(arch, schedule);
+    const sim::SessionConfig config =
+        session_config(trace::session_schedule_from_trace(trace, kHours));
+    const Outcome sim = run_sim(arch, config);
+    const Outcome des = run_des(arch, config);
     mismatches.sent += sim.sent != des.sent ? 1 : 0;
     mismatches.delivered += sim.delivered != des.delivered ? 1 : 0;
     mismatches.delay += sim.delay_us_total != des.delay_us_total ? 1 : 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "../support/fixtures.hpp"
 
 namespace lina::sim {
@@ -42,6 +44,30 @@ TEST(ContentSessionTest, Validation) {
   config.request_interval_ms = 0.0;
   EXPECT_THROW((void)simulate_content_session(fabric(), config),
                std::invalid_argument);
+}
+
+TEST(ContentSessionTest, RejectsNonFiniteTiming) {
+  // A NaN or infinite timing field is a named error, not a run that sends
+  // one interest, none, or never stops.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double ContentSessionConfig::*field :
+       {&ContentSessionConfig::request_interval_ms,
+        &ContentSessionConfig::duration_ms,
+        &ContentSessionConfig::update_hop_ms}) {
+    for (const double value : {kNaN, kInf, -kInf}) {
+      ContentSessionConfig config = base_config();
+      config.*field = value;
+      EXPECT_THROW((void)simulate_content_session(fabric(), config),
+                   std::invalid_argument);
+    }
+  }
+  for (const double value : {kNaN, kInf}) {
+    ContentSessionConfig config = base_config();
+    config.publisher_schedule.push_back({value, edge(3)});
+    EXPECT_THROW((void)simulate_content_session(fabric(), config),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ContentSessionTest, StationaryPublisherFullReachability) {
