@@ -92,8 +92,10 @@ class Harness {
       : name_(std::move(name)) {
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
+      // Every value flag needs a non-empty value: an empty one would read
+      // as "flag not given" and silently run the default.
       const auto take_value = [&]() -> std::string {
-        if (i + 1 >= argc) {
+        if (i + 1 >= argc || argv[i + 1][0] == '\0') {
           std::cerr << name_ << ": missing value for " << arg << "\n";
           std::exit(2);
         }

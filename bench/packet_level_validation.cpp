@@ -7,8 +7,8 @@
 // replay figure uses, so the run record carries trace.reuse), and a
 // second phase drives the same sessions through the lina::des
 // session-parallel packet executor, cross-checking its delivered-packet
-// digest against the serial reference — a digest mismatch fails the bench
-// (exit 1).
+// digest against the serial reference and its delivered count against the
+// session simulator's — either mismatch fails the bench (exit 1).
 
 #include <chrono>
 #include <iostream>
@@ -125,6 +125,7 @@ int main(int argc, char** argv) {
   };
 
   harness.phase("sessions");
+  std::vector<std::size_t> session_delivered;  // per variant
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"architecture", "delivery", "median stretch",
                   "median outage (ms)", "control msgs"});
@@ -148,6 +149,7 @@ int main(int argc, char** argv) {
         outage.add(result.outage_ms.quantile(0.5));
       }
     }
+    session_delivered.push_back(delivered);
     rows.push_back(
         {variant.label,
          stats::pct(static_cast<double>(delivered) /
@@ -169,13 +171,17 @@ int main(int argc, char** argv) {
 
   // Same sessions through the session-parallel executor: the
   // delivered-packet digest must match the serial sim::EventQueue
-  // reference bit-for-bit for every variant, at whatever --threads chose.
+  // reference bit-for-bit for every variant, at whatever --threads chose,
+  // and the packet model must deliver as many packets as the session
+  // simulator did (both engines share one semantics; the sessions are
+  // fault-free, where the model's simplifications do not apply).
   harness.phase("packet-engine");
   std::vector<std::vector<std::string>> engine_rows;
   engine_rows.push_back({"architecture", "events", "events/sec", "digest"});
   std::uint64_t engine_events = 0;
   double engine_seconds = 0.0;
-  for (const Variant& variant : variants) {
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const Variant& variant = variants[v];
     des::PacketModel model(fabric, variant.arch);
     for (const mobility::DeviceTrace& trace : mobile_users)
       model.add_session(session_config(trace, variant));
@@ -185,6 +191,14 @@ int main(int argc, char** argv) {
     harness.result("des_" + variant.key + "_fingerprint_lo32",
                    static_cast<double>(serial.digest.fingerprint() &
                                        0xffffffffULL));
+    if (serial.digest.delivered != session_delivered[v]) {
+      std::cerr << "packet_level_validation: the packet model delivered "
+                << serial.digest.delivered << " packets for "
+                << variant.label << " but the session simulator delivered "
+                << session_delivered[v]
+                << " — the engines' semantics have drifted apart\n";
+      return 1;
+    }
     const auto start = std::chrono::steady_clock::now();
     const des::RunStats parallel = des::run_parallel(model);
     const double seconds =
@@ -222,6 +236,7 @@ int main(int argc, char** argv) {
       "Session-parallel packet executor (lina::des) vs serial reference");
   std::cout << stats::text_table(engine_rows) << "\n";
   std::cout << "Every digest matches the serial sim::EventQueue loop "
-               "bit-for-bit.\n";
+               "bit-for-bit,\nand every delivered count matches the session "
+               "table's.\n";
   return 0;
 }

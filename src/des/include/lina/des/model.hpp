@@ -14,11 +14,16 @@
 // Architecture semantics (who the correspondent/routers believe the
 // mobile is attached to) are *closed-form in time*: beliefs are derived
 // from the mobility schedule plus control-propagation delays, not from
-// mutable registries. Control-plane propagation (registrations, update
+// mutable registries. They follow the rules the session simulator's
+// registries follow too (DESIGN.md §4i): the newest registration wins, a
+// resolution is a round trip, and a replica learns a move through the
+// device's nearest replica, which relays it.
+// Control-plane propagation (registrations, resolutions, update
 // wavefronts) rides the healthy-topology delays; the data plane consults
 // the failure-aware fabric routes and control-process crash windows.
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -26,6 +31,7 @@
 #include "lina/des/event.hpp"
 #include "lina/sim/fabric.hpp"
 #include "lina/sim/failure_plan.hpp"
+#include "lina/sim/resolver_pool.hpp"
 #include "lina/sim/session.hpp"
 
 namespace lina::des {
@@ -51,10 +57,6 @@ class PacketModel {
                             std::optional<std::uint64_t> digest_id = {});
 
   [[nodiscard]] std::size_t session_count() const { return specs_.size(); }
-  [[nodiscard]] const sim::ForwardingFabric& fabric() const {
-    return *fabric_;
-  }
-  [[nodiscard]] sim::SimArchitecture architecture() const { return arch_; }
 
   /// The session's first event: the kEmit that launches packet 0 at time
   /// 0 from the correspondent.
@@ -77,18 +79,12 @@ class PacketModel {
         rearm.packet = ev.packet + 1;
         emit(rearm);
       }
-      EventRecord hop;
+      EventRecord hop = ev;  // at the correspondent, no hops taken yet
       hop.type = EventType::kHop;
-      hop.time_ms = t;
       hop.sent_ms = t;
-      hop.session = ev.session;
-      hop.packet = ev.packet;
-      hop.at = s.correspondent;
-      hop.hops = 0;
-      hop.stage = HopStage::kFinal;
       switch (arch_) {
         case sim::SimArchitecture::kIndirection:
-          hop.dest = s.home_as;
+          hop.dest = s.registry;
           hop.stage = HopStage::kRelay;
           break;
         case sim::SimArchitecture::kNameResolution:
@@ -124,7 +120,7 @@ class PacketModel {
         }
         EventRecord fwd = ev;
         fwd.stage = HopStage::kFinal;
-        fwd.dest = home_belief(s, t);
+        fwd.dest = registered(s, s.registry, t);
         if (fwd.dest == at) {
           finish(s, fwd, digest);
           return;
@@ -159,15 +155,18 @@ class PacketModel {
   struct Spec {
     std::uint64_t digest_id = 0;
     const sim::FailurePlan* failures = nullptr;  // nullptr when none/empty
+    const sim::ResolverPool* pool = nullptr;     // resolution archs
     topology::AsId correspondent = 0;
-    topology::AsId home_as = 0;
-    std::uint32_t first_step = 0;
+    // The registry the correspondent reads: the home agent, the resolver,
+    // or the correspondent's nearest replica.
+    topology::AsId registry = 0;
+    std::uint32_t first_step = 0;  // into steps_ and arrivals_
     std::uint32_t step_count = 0;
-    std::uint32_t first_replica = 0;  // into replicas_ (resolution archs)
-    std::uint32_t replica_count = 0;
     double duration_ms = 0.0;
     double interval_ms = 0.0;
     double ttl_ms = 0.0;
+    double query_ms = 0.0;   // correspondent -> registry (+inf: unroutable)
+    double answer_ms = 0.0;  // registry -> correspondent (+inf: unroutable)
     double update_hop_ms = 0.0;
     std::size_t scope_hops = 0;  // SIZE_MAX = global
     std::uint16_t packet_ttl_hops = 0;
@@ -179,17 +178,28 @@ class PacketModel {
     return {steps_.data() + s.first_step, s.step_count};
   }
 
-  /// The care-of AS the indirection relay believes at `t`: the latest
-  /// step whose registration (riding the healthy policy route from the
-  /// new attachment to the relay) has arrived by `t`; the initial
-  /// attachment is always known.
-  [[nodiscard]] topology::AsId home_belief(const Spec& s, double t) const;
+  /// Healthy-route delay; +inf when `to` is unroutable from `from`.
+  [[nodiscard]] double delay_ms(topology::AsId from, topology::AsId to) const;
 
-  /// The location the correspondent's resolver answer points at when a
-  /// packet is emitted at `t`: resolutions happen on the TTL grid (epochs
-  /// k*ttl); the answering replica is the nearest one alive at the epoch,
-  /// and its knowledge lags each step by the registration propagation
-  /// delay to that replica.
+  /// When `step`'s registration reaches `registry`: straight from the new
+  /// attachment without a pool; with one, via the device's nearest
+  /// replica, which relays it on arrival.
+  [[nodiscard]] double arrival_ms(const sim::MobilityStep& step,
+                                  const sim::ResolverPool* pool,
+                                  topology::AsId registry) const;
+
+  /// The location `registry` holds at `t`: the newest step whose
+  /// registration has arrived by `t`; the initial attachment is always
+  /// known. For the session's registry this scans its arrival row.
+  [[nodiscard]] topology::AsId registered(const Spec& s,
+                                          topology::AsId registry,
+                                          double t) const;
+
+  /// Where the correspondent's answer points when a packet is emitted at
+  /// `t`: the answer of the newest TTL epoch (k * ttl, k >= 1) whose round
+  /// trip ended before `t`, read from the registry when the query got
+  /// there. Under faults an epoch whose registry is down fails over to the
+  /// nearest live replica, or goes unserved if there is none.
   [[nodiscard]] topology::AsId resolver_belief(const Spec& s,
                                                double t) const;
 
@@ -201,8 +211,14 @@ class PacketModel {
   const sim::ForwardingFabric* fabric_;
   sim::SimArchitecture arch_;
   std::vector<Spec> specs_;
-  std::vector<sim::MobilityStep> steps_;      // per-session slices
-  std::vector<topology::AsId> replicas_;      // nearest-first per session
+  std::vector<sim::MobilityStep> steps_;  // per-session slices
+  /// Per step, when its registration reaches the session's registry
+  /// (empty for name-based routing, which has no registry).
+  std::vector<double> arrivals_;
+  /// One pool per distinct replica set (a single resolver is a pool of
+  /// one), shared by the sessions that name it. Map nodes stay put across
+  /// insertions and moves, so Spec::pool stays valid.
+  std::map<std::vector<topology::AsId>, sim::ResolverPool> pools_;
 };
 
 }  // namespace lina::des

@@ -24,7 +24,7 @@ std::uint32_t PacketModel::add_session(
                       ? config.failures
                       : nullptr;
   spec.correspondent = config.correspondent;
-  spec.home_as = config.home_as.value_or(config.schedule.front().as);
+  spec.registry = config.home_as.value_or(config.schedule.front().as);
   spec.first_step = static_cast<std::uint32_t>(steps_.size());
   spec.step_count = static_cast<std::uint32_t>(config.schedule.size());
   spec.duration_ms = config.duration_ms;
@@ -34,98 +34,88 @@ std::uint32_t PacketModel::add_session(
   spec.scope_hops = config.update_scope_hops;
   spec.packet_ttl_hops = static_cast<std::uint16_t>(
       std::min<std::size_t>(config.packet_ttl_hops, 0xffff));
-  steps_.insert(steps_.end(), config.schedule.begin(),
-                config.schedule.end());
-
-  spec.first_replica = static_cast<std::uint32_t>(replicas_.size());
   if (arch_ == sim::SimArchitecture::kNameResolution ||
       arch_ == sim::SimArchitecture::kReplicatedResolution) {
-    std::vector<topology::AsId> pool =
+    std::vector<topology::AsId> replicas =
         arch_ == sim::SimArchitecture::kReplicatedResolution
             ? config.resolver_replicas
             : std::vector<topology::AsId>{
                   config.resolver_as.value_or(config.correspondent)};
-    // Nearest-first (ties by AS id): the correspondent resolves at the
-    // first live replica in this order. Precomputed here so the per-event
-    // choice is one ordered scan.
-    std::sort(pool.begin(), pool.end());
-    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-    std::stable_sort(pool.begin(), pool.end(),
-                     [&](topology::AsId a, topology::AsId b) {
-                       const auto da =
-                           fabric_->path_delay_ms(spec.correspondent, a);
-                       const auto db =
-                           fabric_->path_delay_ms(spec.correspondent, b);
-                       const double va = da.value_or(
-                           std::numeric_limits<double>::infinity());
-                       const double vb = db.value_or(
-                           std::numeric_limits<double>::infinity());
-                       if (va != vb) return va < vb;
-                       return a < b;
-                     });
-    replicas_.insert(replicas_.end(), pool.begin(), pool.end());
+    spec.pool = &pools_.try_emplace(replicas, *fabric_, replicas)
+                     .first->second;
+    spec.registry = spec.pool->nearest_replica(spec.correspondent);
+    spec.query_ms = delay_ms(spec.correspondent, spec.registry);
+    spec.answer_ms = delay_ms(spec.registry, spec.correspondent);
   }
-  spec.replica_count =
-      static_cast<std::uint32_t>(replicas_.size() - spec.first_replica);
+  steps_.insert(steps_.end(), config.schedule.begin(),
+                config.schedule.end());
+  if (arch_ != sim::SimArchitecture::kNameBased) {
+    arrivals_.push_back(0.0);  // the initial registration, at session setup
+    for (std::size_t i = 1; i < config.schedule.size(); ++i)
+      arrivals_.push_back(
+          arrival_ms(config.schedule[i], spec.pool, spec.registry));
+  }
 
   specs_.push_back(spec);
   return static_cast<std::uint32_t>(specs_.size() - 1);
 }
 
 EventRecord PacketModel::initial_event(std::uint32_t session) const {
-  const Spec& s = specs_[session];
-  EventRecord record;
-  record.type = EventType::kEmit;
-  record.time_ms = 0.0;
+  EventRecord record;  // a kEmit of packet 0 at time 0
   record.session = session;
-  record.packet = 0;
-  record.at = s.correspondent;
+  record.at = specs_[session].correspondent;
   return record;
 }
 
-topology::AsId PacketModel::home_belief(const Spec& s, double t) const {
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  for (std::uint32_t i = s.step_count; i-- > 1;) {
-    const sim::MobilityStep& step = begin[i];
-    if (step.time_ms > t) continue;  // not even sent yet
-    const std::optional<double> delay =
-        fabric_->path_delay_ms(step.as, s.home_as);
-    if (!delay.has_value()) continue;  // registration never arrived
-    if (step.time_ms + *delay <= t) return step.as;
+double PacketModel::delay_ms(topology::AsId from, topology::AsId to) const {
+  return fabric_->path_delay_ms(from, to).value_or(
+      std::numeric_limits<double>::infinity());
+}
+
+double PacketModel::arrival_ms(const sim::MobilityStep& step,
+                               const sim::ResolverPool* pool,
+                               topology::AsId registry) const {
+  const topology::AsId first =
+      pool != nullptr ? pool->nearest_replica(step.as) : registry;
+  const double at_first = step.time_ms + delay_ms(step.as, first);
+  return first == registry ? at_first : at_first + delay_ms(first, registry);
+}
+
+topology::AsId PacketModel::registered(const Spec& s,
+                                       topology::AsId registry,
+                                       double t) const {
+  const std::span<const sim::MobilityStep> steps = schedule(s);
+  const double* row = arrivals_.data() + s.first_step;
+  for (std::size_t i = sim::steps_made(steps, t); i-- > 1;) {
+    const double arrival = registry == s.registry
+                               ? row[i]
+                               : arrival_ms(steps[i], s.pool, registry);
+    if (arrival <= t) return steps[i].as;
   }
-  return begin[0].as;  // initial registration happens at session setup
+  return steps.front().as;
 }
 
 topology::AsId PacketModel::resolver_belief(const Spec& s, double t) const {
-  const sim::MobilityStep* begin = steps_.data() + s.first_step;
-  const topology::AsId* replicas = replicas_.data() + s.first_replica;
-  // Resolutions happen on the TTL grid; if every replica is dead at an
-  // epoch the correspondent keeps the previous epoch's answer.
-  for (auto k = static_cast<std::int64_t>(t / s.ttl_ms); k >= 0; --k) {
+  for (auto k = static_cast<std::int64_t>(t / s.ttl_ms); k >= 1; --k) {
     const double epoch = static_cast<double>(k) * s.ttl_ms;
-    const topology::AsId* replica = nullptr;
-    for (std::uint32_t r = 0; r < s.replica_count; ++r) {
-      if (s.failures != nullptr &&
-          s.failures->resolver_down(replicas[r], epoch)) {
-        continue;
-      }
-      replica = &replicas[r];
-      break;
+    topology::AsId registry = s.registry;
+    double query = s.query_ms;
+    double answer = s.answer_ms;
+    if (s.failures != nullptr &&
+        s.failures->resolver_down(registry, epoch)) {
+      const std::optional<topology::AsId> live =
+          s.pool->nearest_live_replica(s.correspondent, *s.failures, epoch);
+      if (!live.has_value()) continue;
+      registry = *live;
+      query = delay_ms(s.correspondent, registry);
+      answer = delay_ms(registry, s.correspondent);
     }
-    if (replica == nullptr) continue;
-    // The replica's registry lags each step by the registration
-    // propagation delay from the new attachment to that replica.
-    for (std::uint32_t i = s.step_count; i-- > 1;) {
-      const sim::MobilityStep& step = begin[i];
-      if (step.time_ms > epoch) continue;
-      const std::optional<double> delay =
-          fabric_->path_delay_ms(step.as, *replica);
-      if (!delay.has_value()) continue;
-      if (step.time_ms + *delay <= epoch) return step.as;
-    }
-    return begin[0].as;
+    // A packet sent the instant an answer is installed still uses the
+    // previous one.
+    const double asked = epoch + query;
+    if (asked + answer < t) return registered(s, registry, asked);
   }
-  return begin[0].as;
+  return schedule(s).front().as;
 }
 
 void PacketModel::finish(const Spec& s, const EventRecord& ev,

@@ -105,8 +105,9 @@ struct ContentSessionStats {
   }
 };
 
-/// Runs one consumer->publisher content session over the fabric.
-/// Throws std::invalid_argument on malformed configs.
+/// Runs one consumer->publisher content session over the fabric. The
+/// publisher schedule is checked by validate_schedule; other malformed
+/// fields throw std::invalid_argument, a bad consumer std::out_of_range.
 [[nodiscard]] ContentSessionStats simulate_content_session(
     const ForwardingFabric& fabric, const ContentSessionConfig& config);
 

@@ -169,6 +169,18 @@ void validate_session(const ForwardingFabric& fabric,
                       SimArchitecture architecture,
                       const SessionConfig& config);
 
+/// The rules a mobility schedule meets before steps_made, location_at or
+/// wavefront_belief read it: non-empty, first step at 0, finite and
+/// strictly increasing times (else std::invalid_argument), and every AS
+/// in the fabric's graph (else std::out_of_range).
+void validate_schedule(const ForwardingFabric& fabric,
+                       std::span<const MobilityStep> schedule);
+
+/// How many steps of a (validated) schedule are made by `time_ms`: step
+/// i is made once its time is at or before it.
+[[nodiscard]] std::size_t steps_made(std::span<const MobilityStep> schedule,
+                                     double time_ms);
+
 /// Where the mobile is attached at `time_ms`: the last step of the
 /// (validated) schedule at or before it.
 [[nodiscard]] topology::AsId location_at(

@@ -29,18 +29,7 @@ class ContentSessionRunner {
         rng_(config.seed, "content-session"),
         fib_(config.mapping_cache),
         fib_cached_(fib_.enabled()) {
-    if (config.publisher_schedule.empty() ||
-        config.publisher_schedule.front().time_ms != 0.0)
-      throw std::invalid_argument(
-          "simulate_content_session: publisher schedule must start at 0");
-    for (std::size_t i = 1; i < config.publisher_schedule.size(); ++i) {
-      const double time = config.publisher_schedule[i].time_ms;
-      if (!std::isfinite(time) ||
-          !(time > config.publisher_schedule[i - 1].time_ms))
-        throw std::invalid_argument(
-            "simulate_content_session: schedule times must be finite and "
-            "increase");
-    }
+    validate_schedule(fabric, config.publisher_schedule);
     const auto positive = [](double value) {
       return std::isfinite(value) && value > 0.0;
     };
@@ -55,13 +44,8 @@ class ContentSessionRunner {
     if (!config.mapping_cache.valid())
       throw std::invalid_argument(
           "simulate_content_session: non-positive cache TTL");
-    const std::size_t as_count = fabric.internet().graph().as_count();
-    if (config.consumer >= as_count)
+    if (config.consumer >= fabric.internet().graph().as_count())
       throw std::out_of_range("simulate_content_session: consumer AS");
-    for (const MobilityStep& step : config.publisher_schedule) {
-      if (step.as >= as_count)
-        throw std::out_of_range("simulate_content_session: publisher AS");
-    }
   }
 
   ContentSessionStats run() {
@@ -97,29 +81,6 @@ class ContentSessionRunner {
   }
 
  private:
-  [[nodiscard]] AsId publisher_location(double time_ms) const {
-    AsId location = config_.publisher_schedule.front().as;
-    for (const MobilityStep& step : config_.publisher_schedule) {
-      if (step.time_ms > time_ms) break;
-      location = step.as;
-    }
-    return location;
-  }
-
-  /// The publisher attachment router `at` currently believes in (flooded
-  /// update wavefront at update_hop_ms per physical AS hop).
-  [[nodiscard]] AsId belief(AsId at, double time_ms) const {
-    for (auto it = config_.publisher_schedule.rbegin();
-         it != config_.publisher_schedule.rend(); ++it) {
-      const double arrival =
-          it->time_ms + static_cast<double>(fabric_.physical_hops(
-                            at, it->as)) *
-                            config_.update_hop_ms;
-      if (arrival <= time_ms) return it->as;
-    }
-    return config_.publisher_schedule.front().as;
-  }
-
   ContentStore& store_at(AsId as) {
     const auto it = stores_.find(as);
     if (it != stores_.end()) return it->second;
@@ -200,9 +161,13 @@ class ContentSessionRunner {
       return;
     }
     const AsId dest =
-        fixed.has_value() ? *fixed : belief(at, queue_.now());
+        fixed.has_value()
+            ? *fixed
+            : wavefront_belief(fabric_, config_.publisher_schedule, at,
+                               queue_.now(), config_.update_hop_ms,
+                               SIZE_MAX);
     if (at == dest) {
-      if (publisher_location(queue_.now()) == at) {
+      if (location_at(config_.publisher_schedule, queue_.now()) == at) {
         satisfy(segment, send_time_ms, forward_delay_ms, path, false);
       } else {
         if (fixed.has_value()) fib_.invalidate(segment);

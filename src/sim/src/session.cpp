@@ -30,20 +30,27 @@ std::string_view sim_architecture_name(SimArchitecture arch) {
   throw std::invalid_argument("sim_architecture_name: unknown architecture");
 }
 
+void validate_schedule(const ForwardingFabric& fabric,
+                       std::span<const MobilityStep> schedule) {
+  if (schedule.empty() || schedule.front().time_ms != 0.0)
+    throw std::invalid_argument(
+        "validate_schedule: the schedule must start at time 0");
+  for (std::size_t i = 1; i < schedule.size(); ++i) {
+    if (!std::isfinite(schedule[i].time_ms) ||
+        !(schedule[i].time_ms > schedule[i - 1].time_ms))
+      throw std::invalid_argument(
+          "validate_schedule: schedule times must be finite and increase");
+  }
+  for (const MobilityStep& step : schedule) {
+    if (step.as >= fabric.internet().graph().as_count())
+      throw std::out_of_range("validate_schedule: schedule AS");
+  }
+}
+
 void validate_session(const ForwardingFabric& fabric,
                       SimArchitecture architecture,
                       const SessionConfig& config) {
-  if (config.schedule.empty())
-    throw std::invalid_argument("validate_session: empty mobility schedule");
-  if (config.schedule.front().time_ms != 0.0)
-    throw std::invalid_argument(
-        "validate_session: schedule must start at time 0");
-  for (std::size_t i = 1; i < config.schedule.size(); ++i) {
-    const double time = config.schedule[i].time_ms;
-    if (!std::isfinite(time) || !(time > config.schedule[i - 1].time_ms))
-      throw std::invalid_argument(
-          "validate_session: schedule times must be finite and increase");
-  }
+  validate_schedule(fabric, config.schedule);
   for (const double timing :
        {config.packet_interval_ms, config.duration_ms,
         config.resolver_ttl_ms, config.update_hop_ms}) {
@@ -65,8 +72,6 @@ void validate_session(const ForwardingFabric& fabric,
       throw std::out_of_range(std::string("validate_session: ") + what);
   };
   check_as(config.correspondent, "correspondent AS");
-  for (const MobilityStep& step : config.schedule)
-    check_as(step.as, "schedule AS");
   if (config.home_as.has_value()) check_as(*config.home_as, "home AS");
   if (config.resolver_as.has_value())
     check_as(*config.resolver_as, "resolver AS");
@@ -81,9 +86,6 @@ void validate_session(const ForwardingFabric& fabric,
   }
 }
 
-namespace {
-
-/// How many steps of an increasing schedule are made by `time_ms`.
 std::size_t steps_made(std::span<const MobilityStep> schedule,
                        double time_ms) {
   return static_cast<std::size_t>(
@@ -93,8 +95,6 @@ std::size_t steps_made(std::span<const MobilityStep> schedule,
                        }) -
       schedule.begin());
 }
-
-}  // namespace
 
 AsId location_at(std::span<const MobilityStep> schedule, double time_ms) {
   return schedule[std::max<std::size_t>(steps_made(schedule, time_ms), 1) - 1]
@@ -191,6 +191,12 @@ class SessionRunner {
     return location_at(config_.schedule, time_ms);
   }
 
+  /// The index of the step the device is on now: the move sequence number
+  /// a registration sent now carries.
+  [[nodiscard]] std::size_t current_step() const {
+    return steps_made(config_.schedule, queue_.now()) - 1;
+  }
+
   void deliver(double send_time_ms) {
     ++stats_.packets_delivered;
     const double delay = queue_.now() - send_time_ms;
@@ -280,17 +286,32 @@ class SessionRunner {
 /// registry the correspondent's packets or resolutions consult: the home
 /// agent, the resolver, or the resolver pool. Every move sends one
 /// location update (register_location); this class holds what the three
-/// share: the soft-state renewal of an update that did not land, the
-/// churn push to the correspondent's mapping cache, and the last leg from
-/// the correspondent to a cached location.
+/// share: the registry write rule, the soft-state renewal of an update
+/// that did not land, the churn push to the correspondent's mapping cache,
+/// and the last leg from the correspondent to a cached location.
+///
+/// A registry holds the newest move it has heard of as a schedule index,
+/// so its location is config_.schedule[index].as. An update carries the
+/// index of the step the device is on when it is sent: its sequence
+/// number.
 class RegistryRunner : public SessionRunner {
  public:
   using SessionRunner::SessionRunner;
 
  protected:
-  /// Sends attempt number `attempt` of the location update for the move
-  /// to `new_as`.
-  virtual void register_location(AsId new_as, std::size_t attempt) = 0;
+  /// Sends attempt number `attempt` of the location update for move
+  /// `step`.
+  virtual void register_location(std::size_t step, std::size_t attempt) = 0;
+
+  /// Writes move `step` to a registry holding move `held` unless it holds
+  /// a newer one: the Mobile IPv6 Binding Update rule (RFC 6275 §9.5.1),
+  /// so a stale update that arrives late is dropped. Returns whether it
+  /// wrote.
+  static bool write_newest(std::size_t& held, std::size_t step) {
+    if (step < held) return false;
+    held = step;
+    return true;
+  }
 
   /// Registrations are soft state: once the exponential burst is spent
   /// the device keeps probing at the backoff cap (Mobile-IP-style
@@ -299,12 +320,13 @@ class RegistryRunner : public SessionRunner {
   /// newer move supersedes it, or the session runs out. Without faults
   /// nothing is lost and an unroutable leg stays unroutable, so there is
   /// nothing to renew.
-  void retry_registration(AsId new_as, std::size_t attempt) {
+  void retry_registration(std::size_t step, std::size_t attempt) {
     if (!faults_ || queue_.now() >= config_.duration_ms) return;
     const std::size_t next = attempts_left(attempt) ? attempt + 1 : 0;
-    queue_.schedule_in(backoff_ms(attempt), [this, new_as, next] {
-      if (device_location(queue_.now()) != new_as) return;  // superseded
-      register_location(new_as, next);
+    queue_.schedule_in(backoff_ms(attempt), [this, step, next] {
+      const AsId location = config_.schedule[step].as;
+      if (device_location(queue_.now()) != location) return;  // superseded
+      register_location(current_step(), next);
     });
   }
 
@@ -334,7 +356,9 @@ class RegistryRunner : public SessionRunner {
   }
 
  private:
-  void on_move(AsId new_as) final { register_location(new_as, 0); }
+  void on_move(AsId /*new_as*/) final {
+    register_location(current_step(), 0);
+  }
 };
 
 class IndirectionRunner final : public RegistryRunner {
@@ -342,27 +366,26 @@ class IndirectionRunner final : public RegistryRunner {
   IndirectionRunner(const ForwardingFabric& fabric,
                     const SessionConfig& config)
       : RegistryRunner(fabric, config),
-        home_(config.home_as.value_or(config.schedule.front().as)),
-        registry_(config.schedule.front().as) {}
+        home_(config.home_as.value_or(config.schedule.front().as)) {}
 
  private:
   /// Registration message travels from the new location to the home agent;
   /// under faults it retries with backoff while the agent is dead or the
   /// message is lost, abandoning once a newer move supersedes it.
-  void register_location(AsId new_as, std::size_t attempt) override {
+  void register_location(std::size_t step, std::size_t attempt) override {
     count_attempt(attempt);
-    const auto delay = leg_delay(new_as, home_);
+    const auto delay = leg_delay(config_.schedule[step].as, home_);
     if (!control_delivered() || !delay.has_value()) {
-      retry_registration(new_as, attempt);
+      retry_registration(step, attempt);
       return;
     }
-    queue_.schedule_in(*delay, [this, new_as, attempt] {
+    queue_.schedule_in(*delay, [this, step, attempt] {
       if (faults_ && plan_->home_agent_down(home_, queue_.now())) {
-        retry_registration(new_as, attempt);
+        retry_registration(step, attempt);
         return;
       }
-      registry_ = new_as;
-      if (cached_) notify_churn(home_, new_as);
+      if (write_newest(registry_, step) && cached_)
+        notify_churn(home_, config_.schedule[step].as);
     });
   }
 
@@ -385,7 +408,7 @@ class IndirectionRunner final : public RegistryRunner {
       // A dead home agent swallows every packet for the whole outage:
       // indirection's single point of failure.
       if (faults_ && plan_->home_agent_down(home_, queue_.now())) return;
-      const AsId target = registry_;
+      const AsId target = config_.schedule[registry_].as;
       if (cached_) push_binding(target);
       const auto to_target = leg_delay(home_, target);
       if (!to_target.has_value()) return;
@@ -408,7 +431,7 @@ class IndirectionRunner final : public RegistryRunner {
   }
 
   AsId home_;
-  AsId registry_;
+  std::size_t registry_ = 0;  // the newest move registered at the agent
 };
 
 /// Name resolution against one resolver or a replica pool. Without a
@@ -420,11 +443,12 @@ class ResolvingRunner : public RegistryRunner {
  public:
   ResolvingRunner(const ForwardingFabric& fabric, const SessionConfig& config)
       : RegistryRunner(fabric, config), answer_(config.schedule.front().as) {
-    // Periodic re-resolution; the initial resolution happened at setup.
+    // Periodic re-resolution at the epochs k * ttl, k >= 1; the initial
+    // resolution happened at setup.
     if (!cached_) {
-      for (double t = config.resolver_ttl_ms; t < config.duration_ms;
-           t += config.resolver_ttl_ms) {
-        queue_.schedule(t, [this] { resolve(0); });
+      for (double k = 1.0; k * config.resolver_ttl_ms < config.duration_ms;
+           k += 1.0) {
+        queue_.schedule(k * config.resolver_ttl_ms, [this] { resolve(0); });
       }
     }
   }
@@ -436,28 +460,35 @@ class ResolvingRunner : public RegistryRunner {
   [[nodiscard]] virtual AsId record_at(AsId resolver) const = 0;
 
  private:
-  /// One TTL-clock resolution: query leg, answer from the resolver's
-  /// record on arrival, installed one return leg later. Under faults a
-  /// lost query or a dead resolver times the lookup out and the client
-  /// retries it.
-  void resolve(std::size_t attempt) {
-    count_attempt(attempt);
+  /// One resolution round trip: the query leg to query_target(attempt),
+  /// the answer read from that resolver's record when the query arrives,
+  /// and `answered(answer)` one return leg later. A lost query or a dead
+  /// resolver calls `timed_out()` instead.
+  template <typename Answered, typename TimedOut>
+  void lookup(std::size_t attempt, Answered answered, TimedOut timed_out) {
     const AsId resolver = query_target(attempt);
     const auto to_resolver = leg_delay(config_.correspondent, resolver);
     if (!control_delivered() || !to_resolver.has_value()) {
-      retry_resolve(attempt);
+      timed_out();
       return;
     }
-    queue_.schedule_in(*to_resolver, [this, resolver, attempt] {
+    queue_.schedule_in(*to_resolver, [this, resolver, answered, timed_out] {
       if (faults_ && plan_->resolver_down(resolver, queue_.now())) {
-        retry_resolve(attempt);
+        timed_out();
         return;
       }
       const AsId answer = record_at(resolver);
       const auto back = leg_delay(resolver, config_.correspondent);
       if (!back.has_value()) return;
-      queue_.schedule_in(*back, [this, answer] { answer_ = answer; });
+      queue_.schedule_in(*back, [answered, answer] { answered(answer); });
     });
+  }
+
+  /// One TTL-clock resolution; under faults a timed-out lookup is retried.
+  void resolve(std::size_t attempt) {
+    count_attempt(attempt);
+    lookup(attempt, [this](AsId answer) { answer_ = answer; },
+           [this, attempt] { retry_resolve(attempt); });
   }
 
   void retry_resolve(std::size_t attempt) {
@@ -488,20 +519,13 @@ class ResolvingRunner : public RegistryRunner {
       return;
     }
     count_control(1);
-    if (!control_delivered()) return;
-    const AsId resolver = query_target(0);
-    const auto to_resolver = leg_delay(config_.correspondent, resolver);
-    if (!to_resolver.has_value()) return;
-    queue_.schedule_in(*to_resolver, [this, send_time_ms, resolver] {
-      if (faults_ && plan_->resolver_down(resolver, queue_.now())) return;
-      const AsId answer = record_at(resolver);
-      const auto back = leg_delay(resolver, config_.correspondent);
-      if (!back.has_value()) return;
-      queue_.schedule_in(*back, [this, send_time_ms, answer] {
-        binding_.insert(kDeviceKey, answer, queue_.now());
-        forward_cached(send_time_ms, answer);
-      });
-    });
+    lookup(
+        0,
+        [this, send_time_ms](AsId answer) {
+          binding_.insert(kDeviceKey, answer, queue_.now());
+          forward_cached(send_time_ms, answer);
+        },
+        [] {});
   }
 
   AsId answer_;  // the correspondent's latest TTL-clock answer
@@ -516,8 +540,7 @@ class ResolutionRunner final : public ResolvingRunner {
   ResolutionRunner(const ForwardingFabric& fabric,
                    const SessionConfig& config)
       : ResolvingRunner(fabric, config),
-        resolver_(config.resolver_as.value_or(config.correspondent)),
-        registry_(config.schedule.front().as) {}
+        resolver_(config.resolver_as.value_or(config.correspondent)) {}
 
  private:
   /// A single resolver has nowhere to fail over to: a dead resolver times
@@ -526,29 +549,29 @@ class ResolutionRunner final : public ResolvingRunner {
     return resolver_;
   }
   [[nodiscard]] AsId record_at(AsId /*resolver*/) const override {
-    return registry_;
+    return config_.schedule[registry_].as;
   }
 
   /// The device updates the resolver (one message; retried under faults).
-  void register_location(AsId new_as, std::size_t attempt) override {
+  void register_location(std::size_t step, std::size_t attempt) override {
     count_attempt(attempt);
-    const auto delay = leg_delay(new_as, resolver_);
+    const auto delay = leg_delay(config_.schedule[step].as, resolver_);
     if (!control_delivered() || !delay.has_value()) {
-      retry_registration(new_as, attempt);
+      retry_registration(step, attempt);
       return;
     }
-    queue_.schedule_in(*delay, [this, new_as, attempt] {
+    queue_.schedule_in(*delay, [this, step, attempt] {
       if (faults_ && plan_->resolver_down(resolver_, queue_.now())) {
-        retry_registration(new_as, attempt);
+        retry_registration(step, attempt);
         return;
       }
-      registry_ = new_as;
-      if (cached_) notify_churn(resolver_, new_as);
+      if (write_newest(registry_, step) && cached_)
+        notify_churn(resolver_, config_.schedule[step].as);
     });
   }
 
   AsId resolver_;
-  AsId registry_;  // the resolver's authoritative record
+  std::size_t registry_ = 0;  // the resolver's authoritative record
 };
 
 class ReplicatedResolutionRunner final : public ResolvingRunner {
@@ -557,7 +580,7 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
                              const SessionConfig& config)
       : ResolvingRunner(fabric, config),
         pool_(fabric, config.resolver_replicas),
-        records_(pool_.replicas().size(), config.schedule.front().as),
+        records_(pool_.replicas().size(), 0),
         lookup_replica_(
             pool_.replica_index(pool_.nearest_replica(config.correspondent))) {
     if (faults_) {
@@ -599,22 +622,24 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
   /// A replica answers from its own, possibly stale, record: a recovered
   /// replica serves whatever it last heard.
   [[nodiscard]] AsId record_at(AsId resolver) const override {
-    return records_[pool_.replica_index(resolver)];
+    return config_.schedule[records_[pool_.replica_index(resolver)]].as;
   }
 
-  /// Writes replica `index`'s record; a write at the correspondent's
-  /// lookup replica also pushes churn down the update stream to its
-  /// mapping cache.
-  void write_record(std::size_t index, AsId location) {
-    records_[index] = location;
-    if (cached_ && index == lookup_replica_)
-      notify_churn(lookup_replica(), location);
+  /// Writes replica `index`'s record unless it holds a newer move; a
+  /// write at the correspondent's lookup replica also pushes churn down
+  /// the update stream to its mapping cache.
+  void write_record(std::size_t index, std::size_t step) {
+    if (write_newest(records_[index], step) && cached_ &&
+        index == lookup_replica_)
+      notify_churn(lookup_replica(), config_.schedule[step].as);
   }
 
   /// Recovered-replica anti-entropy pull: request to the nearest live
   /// peer, answer from the peer's record at answer time. Either leg can
   /// be lost or unroutable; the replica then keeps its stale record until
-  /// the next device update reaches it.
+  /// the next device update reaches it. The answer is written like any
+  /// registration, so it never overwrites a newer device update that
+  /// landed while it was in flight.
   void resync_replica(AsId recovered) {
     if (plan_->resolver_down(recovered, queue_.now())) return;  // overlap
     std::optional<AsId> peer;
@@ -633,23 +658,16 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
     if (!peer.has_value()) return;
     count_control(1);
     if (!control_delivered()) return;
-    // Snapshot the record the pull is refreshing: if a device update lands
-    // while the answer is in flight, the (older) answer must not clobber
-    // it — the in-flight pull loses to the newer write.
-    const AsId before = records_[pool_.replica_index(recovered)];
-    queue_.schedule_in(best, [this, recovered, before, peer = *peer] {
+    queue_.schedule_in(best, [this, recovered, peer = *peer] {
       if (plan_->resolver_down(peer, queue_.now())) return;
-      const AsId answer = records_[pool_.replica_index(peer)];
+      const std::size_t answer = records_[pool_.replica_index(peer)];
       count_control(1);
       if (!control_delivered()) return;
       const auto back = leg_delay(peer, recovered);
       if (!back.has_value()) return;
-      queue_.schedule_in(*back, [this, recovered, before, answer] {
-        const std::size_t index = pool_.replica_index(recovered);
-        if (records_[index] == before &&
-            !plan_->resolver_down(recovered, queue_.now())) {
-          write_record(index, answer);
-        }
+      queue_.schedule_in(*back, [this, recovered, answer] {
+        if (!plan_->resolver_down(recovered, queue_.now()))
+          write_record(pool_.replica_index(recovered), answer);
       });
     });
   }
@@ -659,9 +677,10 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
   /// its nearest replica, under faults its nearest *live* one; replicas
   /// that are dead, or whose relay is lost or unroutable, miss this update
   /// and serve their stale record until the next one.
-  void register_location(AsId new_as, std::size_t attempt) override {
+  void register_location(std::size_t step, std::size_t attempt) override {
     obs::metric::resolver_updates().add();
     count_attempt(attempt);
+    const AsId new_as = config_.schedule[step].as;
     const auto primary =
         faults_ ? pool_.nearest_live_replica(new_as, *plan_, queue_.now())
                 : std::optional<AsId>(pool_.nearest_replica(new_as));
@@ -670,33 +689,33 @@ class ReplicatedResolutionRunner final : public ResolvingRunner {
                                 : std::nullopt;
     if (!primary.has_value() || !control_delivered() ||
         !to_primary.has_value()) {
-      retry_registration(new_as, attempt);
+      retry_registration(step, attempt);
       return;
     }
-    queue_.schedule_in(*to_primary, [this, new_as, primary = *primary,
+    queue_.schedule_in(*to_primary, [this, step, primary = *primary,
                                      attempt] {
       if (faults_ && plan_->resolver_down(primary, queue_.now())) {
-        retry_registration(new_as, attempt);
+        retry_registration(step, attempt);
         return;
       }
-      write_record(pool_.replica_index(primary), new_as);
+      write_record(pool_.replica_index(primary), step);
       for (std::size_t i = 0; i < pool_.replicas().size(); ++i) {
         const AsId replica = pool_.replicas()[i];
         if (replica == primary) continue;
         count_control(1);
         const auto relay = leg_delay(primary, replica);
         if (!control_delivered() || !relay.has_value()) continue;
-        queue_.schedule_in(*relay, [this, i, new_as] {
+        queue_.schedule_in(*relay, [this, i, step] {
           if (!faults_ ||
               !plan_->resolver_down(pool_.replicas()[i], queue_.now()))
-            write_record(i, new_as);
+            write_record(i, step);
         });
       }
     });
   }
 
   ResolverPool pool_;
-  std::vector<AsId> records_;  // per-replica registered location
+  std::vector<std::size_t> records_;  // per replica, the newest move
   std::size_t lookup_replica_;  // index of lookup_replica() in the pool
 };
 

@@ -1,13 +1,13 @@
-// First rung of the sim/DES differential suite: the stateful session
-// simulator (sim::simulate_session) and the pure packet model
-// (des::PacketModel driven by des::run_serial) implement the same four
-// architectures independently. Over the shared 80-user fixture's first
-// 24 h (20 ms CBR, no failures, cache off) they must emit the same
-// packets per session, and name-based routing, whose beliefs both sides
-// derive from the same closed-form wavefront, must also deliver the same
-// packets with the same summed delay. The known delivered-count
-// divergences of the three resolution/indirection architectures are
-// recorded as test properties (`ctest --output-junit`), not asserted.
+// The sim/DES differential suite: the stateful session simulator
+// (sim::simulate_session) and the pure packet model (des::PacketModel
+// driven by des::run_serial) implement the same four architectures
+// independently, one with mutable registries and an event queue, the
+// other closed-form in time. Over the shared 80-user fixture's first 24 h
+// (20 ms CBR, no failures, cache off) they must send and deliver the same
+// packets per session, with the same delay summed in microseconds, for
+// every architecture. The directed cases below pin the two rules the
+// engines used to disagree on: the newest registration wins, and a
+// resolution is a round trip.
 
 #include <gtest/gtest.h>
 
@@ -84,58 +84,122 @@ Outcome run_des(sim::SimArchitecture arch, const sim::SessionConfig& config) {
   return {digest.sent, digest.delivered, digest.delay_us_total};
 }
 
-struct Mismatches {
-  std::size_t sent = 0;
-  std::size_t delivered = 0;
-  std::size_t delay = 0;
-};
-
-Mismatches compare(sim::SimArchitecture arch) {
-  Mismatches mismatches;
-  for (const mobility::DeviceTrace& trace : shared_device_traces()) {
-    const sim::SessionConfig config =
-        session_config(trace::session_schedule_from_trace(trace, kHours));
-    const Outcome sim = run_sim(arch, config);
-    const Outcome des = run_des(arch, config);
-    mismatches.sent += sim.sent != des.sent ? 1 : 0;
-    mismatches.delivered += sim.delivered != des.delivered ? 1 : 0;
-    mismatches.delay += sim.delay_us_total != des.delay_us_total ? 1 : 0;
-  }
-  return mismatches;
+/// Runs `config` through both engines, expects equal outcomes, and
+/// returns the simulator's.
+Outcome agreed(sim::SimArchitecture arch, const sim::SessionConfig& config) {
+  const Outcome sim = run_sim(arch, config);
+  const Outcome des = run_des(arch, config);
+  EXPECT_EQ(sim.sent, des.sent);
+  EXPECT_EQ(sim.delivered, des.delivered);
+  EXPECT_EQ(sim.delay_us_total, des.delay_us_total);
+  return sim;
 }
 
-std::string slug(sim::SimArchitecture arch) {
-  switch (arch) {
-    case sim::SimArchitecture::kIndirection:
-      return "indirection";
-    case sim::SimArchitecture::kNameResolution:
-      return "resolution";
-    case sim::SimArchitecture::kNameBased:
-      return "name_based";
-    case sim::SimArchitecture::kReplicatedResolution:
-      return "replicated";
-  }
-  return "unknown";
+double delay_ms(AsId from, AsId to) {
+  return *fabric().path_delay_ms(from, to);
 }
+
+/// The registry the correspondent reads in the directed cases below: its
+/// nearest replica, which is also the home agent and the single resolver.
+AsId registry() {
+  return sim::ResolverPool(fabric(), replicas())
+      .nearest_replica(correspondent());
+}
+
+/// A short session with the directed cases' registry and `schedule`.
+sim::SessionConfig directed_config(std::vector<sim::MobilityStep> schedule,
+                                   double duration_ms) {
+  sim::SessionConfig config = session_config(schedule);
+  config.duration_ms = duration_ms;
+  config.home_as = registry();
+  config.resolver_as = registry();
+  return config;
+}
+
+constexpr sim::SimArchitecture kArchitectures[] = {
+    sim::SimArchitecture::kIndirection,
+    sim::SimArchitecture::kNameResolution,
+    sim::SimArchitecture::kReplicatedResolution,
+    sim::SimArchitecture::kNameBased};
 
 TEST(SimAgreementTest, EveryArchitectureSendsTheSamePackets) {
   ASSERT_EQ(shared_device_traces().size(), 80U);
-  for (const auto arch :
-       {sim::SimArchitecture::kIndirection,
-        sim::SimArchitecture::kNameResolution,
-        sim::SimArchitecture::kReplicatedResolution,
-        sim::SimArchitecture::kNameBased}) {
+  for (const auto arch : kArchitectures) {
     SCOPED_TRACE(sim::sim_architecture_name(arch));
-    const Mismatches mismatches = compare(arch);
-    EXPECT_EQ(mismatches.sent, 0U);
-    if (arch == sim::SimArchitecture::kNameBased) {
-      EXPECT_EQ(mismatches.delivered, 0U);
-      EXPECT_EQ(mismatches.delay, 0U);
-    } else {
-      // Known divergence (ROADMAP: one semantics per architecture).
-      RecordProperty("delivered_mismatch_" + slug(arch),
-                     static_cast<int>(mismatches.delivered));
+    for (std::size_t u = 0; u < shared_device_traces().size(); ++u) {
+      SCOPED_TRACE("user " + std::to_string(u));
+      agreed(arch, session_config(trace::session_schedule_from_trace(
+                       shared_device_traces()[u], kHours)));
     }
+  }
+}
+
+// The device moves far away, then 1 ms later onto the registry itself, so
+// the second registration lands at once and the first arrives later. The
+// registry must keep the newer location: every packet sent once both have
+// landed and the correspondent has re-resolved is delivered. A registry
+// that kept the last arrival would point at the far AS for good.
+TEST(SimAgreementTest, StaleRegistrationArrivingLateLosesToTheNewerOne) {
+  const AsId home = registry();
+  const sim::ResolverPool pool(fabric(), replicas());
+  AsId far = home;
+  for (const AsId as : shared_internet().edge_ases())
+    if (delay_ms(as, home) > delay_ms(far, home)) far = as;
+  const AsId start = shared_internet().edge_ases()[5];
+  ASSERT_NE(start, home);
+  constexpr double kMoveMs = 1000.0;
+  constexpr double kSettledMs = 5000.0;
+  constexpr double kDurationMs = 20000.0;
+  const sim::SessionConfig config = directed_config(
+      {{0.0, start}, {kMoveMs, far}, {kMoveMs + 1.0, home}}, kDurationMs);
+  const auto settled_packets =
+      static_cast<std::uint64_t>((kDurationMs - kSettledMs) / kIntervalMs);
+  for (const auto arch : {sim::SimArchitecture::kIndirection,
+                          sim::SimArchitecture::kNameResolution,
+                          sim::SimArchitecture::kReplicatedResolution}) {
+    SCOPED_TRACE(sim::sim_architecture_name(arch));
+    // When the far registration reaches the registry: directly, or via
+    // the device's nearest replica, which relays it.
+    const AsId primary = arch == sim::SimArchitecture::kReplicatedResolution
+                             ? pool.nearest_replica(far)
+                             : home;
+    const double late_ms =
+        kMoveMs + delay_ms(far, primary) + delay_ms(primary, home);
+    ASSERT_GT(late_ms, kMoveMs + 1.0);
+    ASSERT_LT(late_ms + 2.0 * kTtlMs + 2.0 * delay_ms(correspondent(), home),
+              kSettledMs);
+    EXPECT_GE(agreed(arch, config).delivered, settled_packets);
+  }
+}
+
+// The device moves onto the registry itself 1 ms before a TTL epoch. The
+// epoch's query reads the new location, but the correspondent only learns
+// it when the answer is back, one round trip later: until then it keeps
+// sending to the old attachment, and those packets are lost.
+TEST(SimAgreementTest, MoveBeforeAnEpochStaysHiddenForTheRoundTrip) {
+  const AsId resolver = registry();
+  const AsId start = shared_internet().edge_ases()[5];
+  ASSERT_NE(start, resolver);
+  const double query_ms = delay_ms(correspondent(), resolver);
+  ASSERT_LT(query_ms, kTtlMs - 1.0);  // the epoch before reads `start`
+  constexpr double kEpochMs = 10.0 * kTtlMs;
+  constexpr double kMoveMs = kEpochMs - 1.0;
+  constexpr double kDurationMs = kEpochMs + 2000.0;
+  const double installed_ms =
+      kEpochMs + query_ms + delay_ms(resolver, correspondent());
+  const sim::SessionConfig config = directed_config(
+      {{0.0, start}, {kMoveMs, resolver}}, kDurationMs);
+  // Delivered: packets that reach `start` before the move, then packets
+  // sent after the answer naming `resolver` is installed.
+  std::uint64_t expected = 0;
+  const double to_start = delay_ms(correspondent(), start);
+  for (double t = 0.0; t < kDurationMs; t += kIntervalMs) {
+    if (t + to_start < kMoveMs || t > installed_ms) ++expected;
+  }
+  for (const auto arch : {sim::SimArchitecture::kNameResolution,
+                          sim::SimArchitecture::kReplicatedResolution}) {
+    SCOPED_TRACE(sim::sim_architecture_name(arch));
+    EXPECT_EQ(agreed(arch, config).delivered, expected);
   }
 }
 
