@@ -135,19 +135,19 @@ class PacketModel {
       digest.lost += 1;
       return;
     }
-    const std::optional<topology::AsId> next =
+    const std::optional<sim::RouteStep> step =
         (s.failures != nullptr && s.failures->data_plane_impaired(t))
-            ? fabric_->next_hop(at, dest, *s.failures, t)
-            : fabric_->next_hop(at, dest);
-    if (!next.has_value() || *next == at) {
+            ? fabric_->step(at, dest, *s.failures, t)
+            : fabric_->step(at, dest);
+    if (!step.has_value() || step->next == at) {
       digest.lost += 1;
       return;
     }
     EventRecord n = ev;
-    n.at = *next;
+    n.at = step->next;
     n.dest = dest;
     n.hops = static_cast<std::uint16_t>(ev.hops + 1);
-    n.time_ms = t + fabric_->link_delay_ms(at, *next);
+    n.time_ms = t + step->delay_ms;
     emit(n);
   }
 

@@ -52,8 +52,10 @@ LINA_OBS_GAUGE(name_fib_arena_bytes, "lina.fib.name_arena_bytes")
 LINA_OBS_GAUGE(name_interner_entries, "lina.names.interner.entries")
 LINA_OBS_GAUGE(name_interner_bytes, "lina.names.interner.bytes")
 
-// Forwarding fabric (per-hop forwarding and failure reroutes).
-LINA_OBS_COUNTER(fabric_next_hop_queries, "lina.sim.fabric.next_hop_queries")
+// Forwarding fabric (route-row builds and failure reroutes). Route rows
+// are memoized, so builds, not per-hop queries, are counted: route_builds
+// counts every row, healthy and detour; detour_route_builds the detours.
+LINA_OBS_COUNTER(fabric_route_builds, "lina.sim.fabric.route_builds")
 LINA_OBS_COUNTER(fabric_detour_hops, "lina.sim.fabric.detour_hops")
 LINA_OBS_COUNTER(fabric_detour_route_builds,
                  "lina.sim.fabric.detour_route_builds")

@@ -122,7 +122,7 @@ attributed_counter_names() {
   static const std::array<const char*, kAttributedCounters> names = {
       "lina.net.ip_trie.lpm_node_visits",
       "lina.names.name_trie.lpm_node_visits",
-      "lina.sim.fabric.next_hop_queries",
+      "lina.sim.fabric.route_builds",
       "lina.sim.fabric.detour_hops",
       "lina.sim.resolver.lookups",
       "lina.sim.event_queue.executed",

@@ -21,18 +21,35 @@ struct FabricConfig {
   double min_link_ms = 0.2;  // floor for intra-metro links
 };
 
+/// One forwarding step: the next AS on the route and the delay of the
+/// link to it (0 when the step is already at the destination).
+struct RouteStep {
+  topology::AsId next;
+  double delay_ms;
+};
+
 /// The packet-forwarding substrate: per-destination next hops along the
 /// synthetic Internet's valley-free policy routes, and per-link delays
 /// from AS geography. All architecture simulators forward through this
 /// fabric; they differ only in *which destination* each element of the
 /// network believes the mobile endpoint is at.
 ///
+/// Routes are memoized one row per destination (and per fault epoch for
+/// detours). A row holds each AS's next hop *and* the delay of the link
+/// to it, computed once when the row is built, so a route walk or a
+/// packet hop reads one row and recomputes no geography. Walks still sum
+/// the link delays forward from the source, hop by hop, so path delays
+/// are bit-identical to adding `link_delay_ms` along the route.
+///
+/// Every public query range-checks its AS ids and throws
+/// std::out_of_range for an id outside the graph.
+///
 /// Thread-safe: one fabric may be shared by any number of concurrent
-/// sessions / query threads (lina::exec workers). The per-destination
-/// route tables, BFS distance rows, degraded graphs, and detour tables
-/// are memoized behind striped shared mutexes, and each entry is built
-/// exactly once per key — so the cached values, and every query result,
-/// are bit-identical whether the fabric is driven by one thread or many.
+/// sessions / query threads (lina::exec workers). The route rows, BFS
+/// distance rows and degraded graphs are memoized behind striped shared
+/// mutexes, and each entry is built exactly once per key — so the cached
+/// values, and every query result, are bit-identical whether the fabric
+/// is driven by one thread or many.
 class ForwardingFabric {
  public:
   explicit ForwardingFabric(const routing::SyntheticInternet& internet,
@@ -42,6 +59,12 @@ class ForwardingFabric {
   /// at == dest; nullopt if the policy plane has no route.
   [[nodiscard]] std::optional<topology::AsId> next_hop(
       topology::AsId at, topology::AsId dest) const;
+
+  /// The next hop from `at` toward `dest` together with its link delay:
+  /// next_hop(at, dest) and link_delay_ms(at, next) in one row read.
+  /// {at, 0.0} when at == dest; nullopt if the policy plane has no route.
+  [[nodiscard]] std::optional<RouteStep> step(topology::AsId at,
+                                              topology::AsId dest) const;
 
   /// One-hop delay across the (a, b) link.
   [[nodiscard]] double link_delay_ms(topology::AsId a,
@@ -73,6 +96,12 @@ class ForwardingFabric {
       topology::AsId at, topology::AsId dest, const FailurePlan& failures,
       double time_ms) const;
 
+  /// Failure-aware step: the failure-aware next hop and its link delay.
+  [[nodiscard]] std::optional<RouteStep> step(topology::AsId at,
+                                              topology::AsId dest,
+                                              const FailurePlan& failures,
+                                              double time_ms) const;
+
   /// Failure-aware end-to-end delay.
   [[nodiscard]] std::optional<double> path_delay_ms(
       topology::AsId from, topology::AsId to, const FailurePlan& failures,
@@ -92,17 +121,41 @@ class ForwardingFabric {
   [[nodiscard]] const FabricConfig& config() const { return config_; }
 
  private:
-  const std::vector<topology::AsId>& next_hops_toward(
-      topology::AsId dest) const;
+  /// A walk along a route row: summed link delay and hop count.
+  struct Walk {
+    double delay_ms;
+    std::size_t hops;
+  };
+  /// A memoized route row toward one destination: next[u] is u's next hop
+  /// (kNoNode when unroutable, dest at dest) and link_ms[u] is
+  /// link_delay_ms(u, next[u]) (0 at dest and where unroutable).
+  struct RouteRow {
+    std::vector<topology::AsId> next;
+    std::vector<double> link_ms;
+
+    [[nodiscard]] std::optional<RouteStep> step(topology::AsId at) const;
+    /// Follows the row from `from` to its destination `to`, adding link
+    /// delays forward from the source; nullopt where it has no route.
+    [[nodiscard]] std::optional<Walk> walk(topology::AsId from,
+                                           topology::AsId to) const;
+  };
+
+  void check_range(topology::AsId a, topology::AsId b,
+                   const char* query) const;
+  /// Builds the valley-free route row toward `dest` over `graph`; ASes
+  /// down in `failures` at `time_ms` (when given) get no route.
+  RouteRow build_row(const topology::AsGraph& graph, topology::AsId dest,
+                     const FailurePlan* failures, double time_ms) const;
+  const RouteRow& route_row(topology::AsId dest) const;
   /// The AS graph with dead ASes isolated and cut links removed at the
   /// plan's data-plane epoch covering `time_ms`; same dense AS ids as the
   /// healthy graph. Cached per (plan stamp, epoch).
   const topology::AsGraph& degraded_graph(const FailurePlan& failures,
                                           double time_ms) const;
-  /// Valley-free next hops toward `dest` on the degraded graph (post-
+  /// The route row toward `dest` on the degraded graph (post-
   /// reconvergence routes); cached per (plan stamp, epoch, dest).
-  const std::vector<topology::AsId>& detour_hops_toward(
-      topology::AsId dest, const FailurePlan& failures, double time_ms) const;
+  const RouteRow& detour_row(topology::AsId dest, const FailurePlan& failures,
+                             double time_ms) const;
 
   const routing::SyntheticInternet* internet_;
   FabricConfig config_;
@@ -110,13 +163,13 @@ class ForwardingFabric {
   // std::map caches, but safely shareable across workers. The degraded /
   // detour keys are hashed tuples instead of ordered tuple-keyed maps —
   // O(1) lookups on the failure-aware hot path.
-  exec::Memo<topology::AsId, std::vector<topology::AsId>> next_hop_cache_;
+  exec::Memo<topology::AsId, RouteRow> route_cache_;
   exec::Memo<topology::AsId, std::vector<std::size_t>> bfs_cache_;
   exec::Memo<std::pair<std::uint64_t, std::size_t>, topology::AsGraph,
              exec::TupleHash>
       degraded_graph_cache_;
   exec::Memo<std::tuple<std::uint64_t, std::size_t, topology::AsId>,
-             std::vector<topology::AsId>, exec::TupleHash>
+             RouteRow, exec::TupleHash>
       detour_cache_;
 };
 

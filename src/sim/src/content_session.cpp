@@ -175,16 +175,16 @@ class ContentSessionRunner {
       }
       return;
     }
-    const auto next = faults_
-                          ? fabric_.next_hop(at, dest, *plan_, queue_.now())
-                          : fabric_.next_hop(at, dest);
-    if (!next.has_value()) {
+    const auto step = faults_
+                          ? fabric_.step(at, dest, *plan_, queue_.now())
+                          : fabric_.step(at, dest);
+    if (!step.has_value()) {
       retransmit(segment, send_time_ms, attempt);
       return;
     }
-    const double link = fabric_.link_delay_ms(at, *next);
+    const double link = step->delay_ms;
     queue_.schedule_in(
-        link, [this, next = *next, fixed, segment, send_time_ms,
+        link, [this, next = step->next, fixed, segment, send_time_ms,
                forward_delay_ms, link, path = std::move(path), hops,
                attempt]() mutable {
           hop(next, fixed, segment, send_time_ms, forward_delay_ms + link,

@@ -20,33 +20,74 @@ ForwardingFabric::ForwardingFabric(const routing::SyntheticInternet& internet,
                                    FabricConfig config)
     : internet_(&internet), config_(config) {}
 
-const std::vector<AsId>& ForwardingFabric::next_hops_toward(AsId dest) const {
-  return next_hop_cache_.get_or_build(dest, [&] {
+void ForwardingFabric::check_range(AsId a, AsId b, const char* query) const {
+  if (a >= internet_->graph().as_count() || b >= internet_->graph().as_count())
+    throw std::out_of_range(query);
+}
+
+ForwardingFabric::RouteRow ForwardingFabric::build_row(
+    const topology::AsGraph& graph, AsId dest, const FailurePlan* failures,
+    double time_ms) const {
+  obs::metric::fabric_route_builds().add();
+  const auto down = [&](AsId as) {
+    return failures != nullptr && failures->as_down(as, time_ms);
+  };
+  RouteRow row{std::vector<AsId>(graph.as_count(), topology::kNoNode),
+               std::vector<double>(graph.as_count(), 0.0)};
+  if (down(dest)) return row;
+  const routing::PolicyRoutes routes(graph, dest);
+  row.next[dest] = dest;
+  for (AsId u = 0; u < graph.as_count(); ++u) {
+    if (u == dest || down(u)) continue;
+    const auto path = routes.best_path(u);
+    if (!path.has_value() || path->empty()) continue;
+    row.next[u] = path->next_hop();
+    row.link_ms[u] = link_delay_ms(u, row.next[u]);
+  }
+  return row;
+}
+
+const ForwardingFabric::RouteRow& ForwardingFabric::route_row(
+    AsId dest) const {
+  return route_cache_.get_or_build(dest, [&] {
     PROF_SPAN("lina.fabric.route_build");
-    const auto& graph = internet_->graph();
-    const routing::PolicyRoutes routes(graph, dest);
-    std::vector<AsId> hops(graph.as_count(), topology::kNoNode);
-    hops[dest] = dest;
-    for (AsId u = 0; u < graph.as_count(); ++u) {
-      if (u == dest) continue;
-      const auto path = routes.best_path(u);
-      if (path.has_value() && !path->empty()) hops[u] = path->next_hop();
-    }
-    return hops;
+    return build_row(internet_->graph(), dest, nullptr, 0.0);
   });
 }
 
+std::optional<RouteStep> ForwardingFabric::RouteRow::step(AsId at) const {
+  if (next[at] == topology::kNoNode) return std::nullopt;
+  return RouteStep{next[at], link_ms[at]};
+}
+
+std::optional<ForwardingFabric::Walk> ForwardingFabric::RouteRow::walk(
+    AsId from, AsId to) const {
+  Walk route{0.0, 0};
+  AsId current = from;
+  while (current != to) {
+    const AsId hop = next[current];
+    if (hop == topology::kNoNode) return std::nullopt;
+    route.delay_ms += link_ms[current];
+    current = hop;
+    if (++route.hops > next.size())
+      throw std::logic_error("ForwardingFabric: routing loop");
+  }
+  return route;
+}
+
+std::optional<RouteStep> ForwardingFabric::step(AsId at, AsId dest) const {
+  check_range(at, dest, "ForwardingFabric::step");
+  return route_row(dest).step(at);
+}
+
 std::optional<AsId> ForwardingFabric::next_hop(AsId at, AsId dest) const {
-  if (at >= internet_->graph().as_count() ||
-      dest >= internet_->graph().as_count())
-    throw std::out_of_range("ForwardingFabric::next_hop");
-  obs::metric::fabric_next_hop_queries().add();
-  const AsId hop = next_hops_toward(dest)[at];
-  if (hop == topology::kNoNode) return std::nullopt;
-  return hop;
+  const auto hop = step(at, dest);
+  if (!hop.has_value()) return std::nullopt;
+  return hop->next;
 }
 
 double ForwardingFabric::link_delay_ms(AsId a, AsId b) const {
+  check_range(a, b, "ForwardingFabric::link_delay_ms");
   const double propagation = topology::propagation_delay_ms(
       internet_->graph().location(a), internet_->graph().location(b),
       config_.inflation);
@@ -55,42 +96,29 @@ double ForwardingFabric::link_delay_ms(AsId a, AsId b) const {
 
 std::optional<double> ForwardingFabric::path_delay_ms(AsId from,
                                                       AsId to) const {
-  double total = 0.0;
-  AsId current = from;
-  std::size_t guard = 0;
-  while (current != to) {
-    const auto hop = next_hop(current, to);
-    if (!hop.has_value()) return std::nullopt;
-    total += link_delay_ms(current, *hop);
-    current = *hop;
-    if (++guard > internet_->graph().as_count())
-      throw std::logic_error("ForwardingFabric: routing loop");
-  }
-  return total;
+  check_range(from, to, "ForwardingFabric::path_delay_ms");
+  const auto route = route_row(to).walk(from, to);
+  if (!route.has_value()) return std::nullopt;
+  return route->delay_ms;
 }
 
 std::optional<std::size_t> ForwardingFabric::path_hops(AsId from,
                                                        AsId to) const {
-  std::size_t hops = 0;
-  AsId current = from;
-  while (current != to) {
-    const auto hop = next_hop(current, to);
-    if (!hop.has_value()) return std::nullopt;
-    current = *hop;
-    if (++hops > internet_->graph().as_count())
-      throw std::logic_error("ForwardingFabric: routing loop");
-  }
-  return hops;
+  check_range(from, to, "ForwardingFabric::path_hops");
+  const auto route = route_row(to).walk(from, to);
+  if (!route.has_value()) return std::nullopt;
+  return route->hops;
 }
 
 bool ForwardingFabric::policy_path_impaired(AsId from, AsId to,
                                             const FailurePlan& failures,
                                             double time_ms) const {
+  check_range(from, to, "ForwardingFabric::policy_path_impaired");
   if (!failures.data_plane_impaired(time_ms)) return false;
   obs::metric::fabric_impaired_path_checks().add();
   if (failures.as_down(from, time_ms) || failures.as_down(to, time_ms))
     return true;
-  const auto& hops = next_hops_toward(to);
+  const auto& hops = route_row(to).next;
   AsId current = from;
   std::size_t guard = 0;
   while (current != to) {
@@ -145,7 +173,7 @@ const topology::AsGraph& ForwardingFabric::degraded_graph(
   });
 }
 
-const std::vector<AsId>& ForwardingFabric::detour_hops_toward(
+const ForwardingFabric::RouteRow& ForwardingFabric::detour_row(
     AsId dest, const FailurePlan& failures, double time_ms) const {
   const auto key = std::make_tuple(failures.stamp(),
                                    failures.data_plane_epoch(time_ms), dest);
@@ -159,63 +187,49 @@ const std::vector<AsId>& ForwardingFabric::detour_hops_toward(
     // topology. Detours therefore obey the same export rules as healthy
     // routes — a failure can only lengthen (or sever) a path, never grant a
     // cheaper one than policy allows.
-    const auto& graph = degraded_graph(failures, time_ms);
-    std::vector<AsId> hops(graph.as_count(), topology::kNoNode);
-    if (!failures.as_down(dest, time_ms)) {
-      const routing::PolicyRoutes routes(graph, dest);
-      hops[dest] = dest;
-      for (AsId u = 0; u < graph.as_count(); ++u) {
-        if (u == dest || failures.as_down(u, time_ms)) continue;
-        const auto path = routes.best_path(u);
-        if (path.has_value() && !path->empty()) hops[u] = path->next_hop();
-      }
-    }
-    return hops;
+    return build_row(degraded_graph(failures, time_ms), dest, &failures,
+                     time_ms);
   });
+}
+
+std::optional<RouteStep> ForwardingFabric::step(AsId at, AsId dest,
+                                                const FailurePlan& failures,
+                                                double time_ms) const {
+  check_range(at, dest, "ForwardingFabric::step");
+  if (!failures.data_plane_impaired(time_ms)) return step(at, dest);
+  if (failures.as_down(at, time_ms) || failures.as_down(dest, time_ms))
+    return std::nullopt;
+  if (at == dest) return RouteStep{at, 0.0};
+  if (!policy_path_impaired(at, dest, failures, time_ms))
+    return step(at, dest);
+  obs::metric::fabric_detour_hops().add();
+  return detour_row(dest, failures, time_ms).step(at);
 }
 
 std::optional<AsId> ForwardingFabric::next_hop(AsId at, AsId dest,
                                                const FailurePlan& failures,
                                                double time_ms) const {
-  if (!failures.data_plane_impaired(time_ms)) return next_hop(at, dest);
-  if (failures.as_down(at, time_ms) || failures.as_down(dest, time_ms))
-    return std::nullopt;
-  if (at == dest) return at;
-  if (!policy_path_impaired(at, dest, failures, time_ms))
-    return next_hop(at, dest);
-  obs::metric::fabric_detour_hops().add();
-  const AsId hop = detour_hops_toward(dest, failures, time_ms)[at];
-  if (hop == topology::kNoNode) return std::nullopt;
-  return hop;
+  const auto hop = step(at, dest, failures, time_ms);
+  if (!hop.has_value()) return std::nullopt;
+  return hop->next;
 }
 
 std::optional<double> ForwardingFabric::path_delay_ms(
     AsId from, AsId to, const FailurePlan& failures, double time_ms) const {
+  check_range(from, to, "ForwardingFabric::path_delay_ms");
   if (!failures.data_plane_impaired(time_ms))
     return path_delay_ms(from, to);
   if (failures.as_down(from, time_ms) || failures.as_down(to, time_ms))
     return std::nullopt;
   if (!policy_path_impaired(from, to, failures, time_ms))
     return path_delay_ms(from, to);
-  const auto& hops = detour_hops_toward(to, failures, time_ms);
-  double total = 0.0;
-  AsId current = from;
-  std::size_t guard = 0;
-  while (current != to) {
-    const AsId hop = hops[current];
-    if (hop == topology::kNoNode) return std::nullopt;  // partitioned
-    total += link_delay_ms(current, hop);
-    current = hop;
-    if (++guard > internet_->graph().as_count())
-      throw std::logic_error("ForwardingFabric: detour loop");
-  }
-  return total;
+  const auto route = detour_row(to, failures, time_ms).walk(from, to);
+  if (!route.has_value()) return std::nullopt;  // partitioned
+  return route->delay_ms;
 }
 
 std::size_t ForwardingFabric::physical_hops(AsId from, AsId to) const {
-  if (from >= internet_->graph().as_count() ||
-      to >= internet_->graph().as_count())
-    throw std::out_of_range("ForwardingFabric::physical_hops");
+  check_range(from, to, "ForwardingFabric::physical_hops");
   const std::size_t d = bfs_cache_.get_or_build(from, [&] {
     PROF_SPAN("lina.fabric.bfs_row");
     return topology::hop_distances(internet_->graph(), from);

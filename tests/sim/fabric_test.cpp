@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "../support/fixtures.hpp"
+#include "lina/routing/policy_routing.hpp"
+#include "lina/sim/failure_plan.hpp"
 
 namespace lina::sim {
 namespace {
@@ -13,6 +18,63 @@ using topology::AsId;
 const ForwardingFabric& fabric() {
   static const ForwardingFabric instance(shared_internet());
   return instance;
+}
+
+/// A reference route: link delays summed forward from the source.
+struct ReferenceRoute {
+  double delay_ms = 0.0;
+  std::size_t hops = 0;
+};
+
+/// Walks `from` -> `to` with the public per-hop queries only: next_hop
+/// for the route and link_delay_ms for each link, summed from the source.
+std::optional<ReferenceRoute> reference_walk(AsId from, AsId to) {
+  ReferenceRoute route;
+  AsId current = from;
+  while (current != to) {
+    const auto next = fabric().next_hop(current, to);
+    if (!next.has_value()) return std::nullopt;
+    route.delay_ms += fabric().link_delay_ms(current, *next);
+    current = *next;
+    if (++route.hops > shared_internet().graph().as_count()) {
+      ADD_FAILURE() << "routing loop " << from << " -> " << to;
+      return std::nullopt;
+    }
+  }
+  return route;
+}
+
+/// Every 13th AS: tier-1, transit and stub ASes alike.
+std::vector<AsId> sample_ases() {
+  std::vector<AsId> sample;
+  for (AsId as = 0; as < shared_internet().graph().as_count(); as += 13)
+    sample.push_back(as);
+  return sample;
+}
+
+/// The healthy graph without the ASes and links `plan` has taken down at
+/// `time_ms`, built independently of the fabric.
+topology::AsGraph surviving_graph(const FailurePlan& plan, double time_ms) {
+  const auto& graph = shared_internet().graph();
+  topology::AsGraph out;
+  for (AsId as = 0; as < graph.as_count(); ++as)
+    out.add_as(graph.tier(as), graph.location(as));
+  for (AsId u = 0; u < graph.as_count(); ++u) {
+    for (const auto& link : graph.links(u)) {
+      const AsId v = link.neighbor;
+      if (v < u || plan.as_down(u, time_ms) || plan.as_down(v, time_ms) ||
+          plan.link_down(u, v, time_ms))
+        continue;
+      if (link.rel == topology::AsRelationship::kProvider) {
+        out.add_provider_link(u, v);
+      } else if (link.rel == topology::AsRelationship::kCustomer) {
+        out.add_provider_link(v, u);
+      } else {
+        out.add_peer_link(u, v);
+      }
+    }
+  }
+  return out;
 }
 
 TEST(FabricTest, SelfNextHopIsSelf) {
@@ -48,16 +110,95 @@ TEST(FabricTest, HopByHopReachesDestination) {
 }
 
 TEST(FabricTest, PathDelayIsSumOfLinkDelays) {
-  const AsId src = shared_internet().edge_ases()[2];
-  const AsId dest = shared_internet().edge_ases()[20];
-  double sum = 0.0;
-  AsId current = src;
-  while (current != dest) {
-    const AsId next = *fabric().next_hop(current, dest);
-    sum += fabric().link_delay_ms(current, next);
-    current = next;
+  // Bit-exact: the memoized rows must give the same doubles as adding
+  // link_delay_ms hop by hop from the source, for every ordered pair.
+  for (const AsId from : sample_ases()) {
+    for (const AsId to : sample_ases()) {
+      SCOPED_TRACE(::testing::Message() << from << " -> " << to);
+      const auto reference = reference_walk(from, to);
+      ASSERT_TRUE(reference.has_value());
+      EXPECT_EQ(*fabric().path_delay_ms(from, to), reference->delay_ms);
+      EXPECT_EQ(*fabric().path_hops(from, to), reference->hops);
+      AsId current = from;
+      while (current != to) {
+        const auto step = fabric().step(current, to);
+        ASSERT_TRUE(step.has_value());
+        EXPECT_EQ(step->next, *fabric().next_hop(current, to));
+        EXPECT_EQ(step->delay_ms, fabric().link_delay_ms(current, step->next));
+        current = step->next;
+      }
+      const auto here = fabric().step(to, to);
+      ASSERT_TRUE(here.has_value());
+      EXPECT_EQ(here->next, to);
+      EXPECT_EQ(here->delay_ms, 0.0);
+    }
   }
-  EXPECT_NEAR(*fabric().path_delay_ms(src, dest), sum, 1e-9);
+}
+
+TEST(FabricTest, FailureAwarePathDelayIsSumOfLinkDelays) {
+  // A dead transit AS on one policy route and a cut link on another, both
+  // active at t: pairs whose route crosses either read detour rows.
+  const auto& edges = shared_internet().edge_ases();
+  std::vector<AsId> route{edges[0]};
+  while (route.back() != edges[25])
+    route.push_back(*fabric().next_hop(route.back(), edges[25]));
+  ASSERT_GE(route.size(), 3u) << "need a transit AS to kill";
+  const AsId dead = route[route.size() / 2];
+  const AsId cut_to = edges[40];
+  AsId cut_from = edges[3];
+  while (*fabric().next_hop(cut_from, cut_to) != cut_to)
+    cut_from = *fabric().next_hop(cut_from, cut_to);
+  const double t = 500.0;
+  FailurePlan plan;
+  plan.as_outage(dead, 0.0, 1000.0).link_cut(cut_from, cut_to, 0.0, 1000.0);
+  ASSERT_TRUE(plan.data_plane_impaired(t));
+
+  const topology::AsGraph surviving = surviving_graph(plan, t);
+  std::vector<AsId> sample = sample_ases();
+  sample.insert(sample.end(), {edges[0], edges[25], edges[3], cut_to, dead});
+  std::size_t detours = 0;
+  for (const AsId to : sample) {
+    const routing::PolicyRoutes reconverged(surviving, to);
+    for (const AsId from : sample) {
+      SCOPED_TRACE(::testing::Message() << from << " -> " << to);
+      const auto delay = fabric().path_delay_ms(from, to, plan, t);
+      const auto step = fabric().step(from, to, plan, t);
+      const auto next = fabric().next_hop(from, to, plan, t);
+      ASSERT_EQ(step.has_value(), next.has_value());
+      if (step.has_value()) {
+        EXPECT_EQ(step->next, *next);
+        EXPECT_EQ(step->delay_ms,
+                  from == to ? 0.0 : fabric().link_delay_ms(from, *next));
+      }
+      if (plan.as_down(from, t) || plan.as_down(to, t)) {
+        EXPECT_FALSE(delay.has_value());
+        EXPECT_FALSE(step.has_value());
+        continue;
+      }
+      if (!fabric().policy_path_impaired(from, to, plan, t)) {
+        const auto reference = reference_walk(from, to);
+        ASSERT_TRUE(reference.has_value());
+        ASSERT_TRUE(delay.has_value());
+        EXPECT_EQ(*delay, reference->delay_ms);
+        continue;
+      }
+      // Reconverged: the valley-free route on the surviving graph.
+      ++detours;
+      const auto path = reconverged.best_path(from);
+      ASSERT_EQ(delay.has_value(), path.has_value());
+      if (!path.has_value()) continue;
+      double reference = 0.0;
+      AsId at = from;
+      for (const AsId hop : path->hops()) {
+        reference += fabric().link_delay_ms(at, hop);
+        at = hop;
+      }
+      EXPECT_EQ(*delay, reference);
+      ASSERT_TRUE(step.has_value());
+      EXPECT_EQ(step->next, path->next_hop());
+    }
+  }
+  EXPECT_GT(detours, 0u);
 }
 
 TEST(FabricTest, LinkDelayPositiveAndSymmetricEnough) {
@@ -83,8 +224,29 @@ TEST(FabricTest, PhysicalHopsLowerBoundsPolicyHops) {
 }
 
 TEST(FabricTest, OutOfRangeThrows) {
+  const auto n = static_cast<AsId>(shared_internet().graph().as_count());
   EXPECT_THROW((void)fabric().next_hop(1u << 20, 0), std::out_of_range);
   EXPECT_THROW((void)fabric().physical_hops(0, 1u << 20),
+               std::out_of_range);
+  // A query from an AS outside the graph to itself is not a 0-hop route.
+  EXPECT_THROW((void)fabric().path_delay_ms(n, n), std::out_of_range);
+  EXPECT_THROW((void)fabric().path_hops(n, n), std::out_of_range);
+  EXPECT_THROW((void)fabric().step(n, 0), std::out_of_range);
+  EXPECT_THROW((void)fabric().step(0, n), std::out_of_range);
+  EXPECT_THROW((void)fabric().link_delay_ms(0, n), std::out_of_range);
+
+  // While a fault is active, the failure-aware queries check too.
+  FailurePlan plan;
+  plan.as_outage(shared_internet().edge_ases()[5], 0.0, 1000.0);
+  ASSERT_TRUE(plan.data_plane_impaired(500.0));
+  EXPECT_THROW((void)fabric().path_delay_ms(n, 0, plan, 500.0),
+               std::out_of_range);
+  EXPECT_THROW((void)fabric().path_delay_ms(0, n, plan, 500.0),
+               std::out_of_range);
+  EXPECT_THROW((void)fabric().next_hop(n, 0, plan, 500.0),
+               std::out_of_range);
+  EXPECT_THROW((void)fabric().step(n, 0, plan, 500.0), std::out_of_range);
+  EXPECT_THROW((void)fabric().policy_path_impaired(n, 0, plan, 500.0),
                std::out_of_range);
 }
 
