@@ -3,10 +3,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "lina/exec/dense_memo.hpp"
 #include "lina/exec/memo.hpp"
 #include "lina/routing/synthetic_internet.hpp"
 #include "lina/topology/as_graph.hpp"
@@ -45,11 +48,14 @@ struct RouteStep {
 /// std::out_of_range for an id outside the graph.
 ///
 /// Thread-safe: one fabric may be shared by any number of concurrent
-/// sessions / query threads (lina::exec workers). The route rows, BFS
-/// distance rows and degraded graphs are memoized behind striped shared
-/// mutexes, and each entry is built exactly once per key — so the cached
-/// values, and every query result, are bit-identical whether the fabric
-/// is driven by one thread or many.
+/// sessions / query threads (lina::exec workers). The healthy route rows
+/// and the BFS distance rows, both keyed by a dense AS id, sit in
+/// publish-once tables (exec::DenseMemo): a read is one acquire load, and
+/// a miss builds its row under a striped build lock and publishes it once.
+/// The fault-keyed degraded graphs, detour rows and impairment rows sit
+/// behind striped shared mutexes (exec::Memo). Every entry is built
+/// exactly once per key — so the cached values, and every query result,
+/// are bit-identical whether the fabric is driven by one thread or many.
 class ForwardingFabric {
  public:
   explicit ForwardingFabric(const routing::SyntheticInternet& internet,
@@ -79,8 +85,25 @@ class ForwardingFabric {
       topology::AsId from, topology::AsId to) const;
 
   /// Physical (policy-free) AS-hop distance; used for update wavefronts.
+  /// Throws std::logic_error when `to` is unreachable from `from`.
   [[nodiscard]] std::size_t physical_hops(topology::AsId from,
                                           topology::AsId to) const;
+
+  /// The memoized BFS row of `from`: entry `to` is physical_hops(from, to),
+  /// or topology::kUnreachedHops where the graph is disconnected. Hop
+  /// distance is symmetric, so hop_row(a)[b] == hop_row(b)[a]. Valid for
+  /// the fabric's lifetime; throws std::out_of_range for an id outside the
+  /// graph.
+  [[nodiscard]] std::span<const std::size_t> hop_row(
+      topology::AsId from) const;
+
+  /// One hop_row entry as a hop count. Throws std::logic_error for
+  /// topology::kUnreachedHops (a disconnected AS graph).
+  [[nodiscard]] static std::size_t reached_hops(std::size_t entry) {
+    if (entry == topology::kUnreachedHops)
+      throw std::logic_error("ForwardingFabric: disconnected AS graph");
+    return entry;
+  }
 
   // Failure-aware forwarding (the FailurePlan layer). When no data-plane
   // fault is active at `time_ms` these delegate to the base queries and
@@ -109,7 +132,8 @@ class ForwardingFabric {
 
   /// True when the policy route from -> to traverses an AS or link that a
   /// fault has taken down at `time_ms` (or no policy route exists while
-  /// the data plane is impaired).
+  /// the data plane is impaired). Reads one flag of the impairment row
+  /// toward `to`, memoized per (plan stamp, data-plane epoch, `to`).
   [[nodiscard]] bool policy_path_impaired(topology::AsId from,
                                           topology::AsId to,
                                           const FailurePlan& failures,
@@ -156,21 +180,33 @@ class ForwardingFabric {
   /// reconvergence routes); cached per (plan stamp, epoch, dest).
   const RouteRow& detour_row(topology::AsId dest, const FailurePlan& failures,
                              double time_ms) const;
+  /// Per AS u, whether u's healthy route toward `dest` is impaired at the
+  /// plan's data-plane epoch covering `time_ms`: kImpaired when it meets a
+  /// dead AS, a cut link or a missing route, kLoop when it loops without
+  /// meeting one, kClear otherwise. Cached per (plan stamp, epoch, dest).
+  enum class Impairment : std::uint8_t {
+    kUnknown, kVisiting,  // only while the row is being built
+    kClear, kImpaired, kLoop
+  };
+  const std::vector<Impairment>& impairment_row(topology::AsId dest,
+                                                const FailurePlan& failures,
+                                                double time_ms) const;
 
   const routing::SyntheticInternet* internet_;
   FabricConfig config_;
-  // Striped-shared-mutex memoizers (lina::exec): lazy like the original
-  // std::map caches, but safely shareable across workers. The degraded /
-  // detour keys are hashed tuples instead of ordered tuple-keyed maps —
-  // O(1) lookups on the failure-aware hot path.
-  exec::Memo<topology::AsId, RouteRow> route_cache_;
-  exec::Memo<topology::AsId, std::vector<std::size_t>> bfs_cache_;
+  // Lazy, thread-safe memoizers (lina::exec). The AS-keyed rows are read
+  // on every hop, so they sit in publish-once dense tables with a lock-free
+  // read; the fault-keyed entries are hashed tuples in striped-shared-mutex
+  // memos.
+  exec::DenseMemo<RouteRow> route_cache_;
+  exec::DenseMemo<std::vector<std::size_t>> bfs_cache_;
   exec::Memo<std::pair<std::uint64_t, std::size_t>, topology::AsGraph,
              exec::TupleHash>
       degraded_graph_cache_;
-  exec::Memo<std::tuple<std::uint64_t, std::size_t, topology::AsId>,
-             RouteRow, exec::TupleHash>
-      detour_cache_;
+  using FaultKey = std::tuple<std::uint64_t, std::size_t, topology::AsId>;
+  exec::Memo<FaultKey, RouteRow, exec::TupleHash> detour_cache_;
+  exec::Memo<FaultKey, std::vector<Impairment>, exec::TupleHash>
+      impairment_cache_;
 };
 
 }  // namespace lina::sim

@@ -3,7 +3,7 @@
 #include <optional>
 #include <vector>
 
-#include "lina/exec/memo.hpp"
+#include "lina/exec/dense_memo.hpp"
 #include "lina/sim/fabric.hpp"
 #include "lina/sim/failure_plan.hpp"
 
@@ -69,11 +69,11 @@ class ResolverPool {
 
   const ForwardingFabric* fabric_;
   std::vector<topology::AsId> replicas_;
-  // Striped-shared-mutex memo (the ForwardingFabric cache idiom): pools
-  // are shared across lina::exec bench cells, and the scan result is a
-  // pure function of (pool, client), so caching is thread-safe and
-  // thread-count-invariant.
-  exec::Memo<topology::AsId, NearestReplica> nearest_cache_;
+  // Publish-once table keyed by client AS (the ForwardingFabric row
+  // idiom): pools are shared across lina::exec bench cells, and the scan
+  // result is a pure function of (pool, client), so caching is
+  // thread-safe and thread-count-invariant.
+  exec::DenseMemo<NearestReplica> nearest_cache_;
 };
 
 }  // namespace lina::sim

@@ -18,7 +18,10 @@ using topology::AsId;
 
 ForwardingFabric::ForwardingFabric(const routing::SyntheticInternet& internet,
                                    FabricConfig config)
-    : internet_(&internet), config_(config) {}
+    : internet_(&internet),
+      config_(config),
+      route_cache_(internet.graph().as_count()),
+      bfs_cache_(internet.graph().as_count()) {}
 
 void ForwardingFabric::check_range(AsId a, AsId b, const char* query) const {
   if (a >= internet_->graph().as_count() || b >= internet_->graph().as_count())
@@ -115,23 +118,55 @@ bool ForwardingFabric::policy_path_impaired(AsId from, AsId to,
                                             double time_ms) const {
   check_range(from, to, "ForwardingFabric::policy_path_impaired");
   if (!failures.data_plane_impaired(time_ms)) return false;
-  obs::metric::fabric_impaired_path_checks().add();
   if (failures.as_down(from, time_ms) || failures.as_down(to, time_ms))
     return true;
-  const auto& hops = route_row(to).next;
-  AsId current = from;
-  std::size_t guard = 0;
-  while (current != to) {
-    const AsId hop = hops[current];
-    if (hop == topology::kNoNode) return true;  // no policy route: detour
-    if (failures.as_down(hop, time_ms) ||
-        failures.link_down(current, hop, time_ms))
-      return true;
-    current = hop;
-    if (++guard > internet_->graph().as_count())
+  switch (impairment_row(to, failures, time_ms)[from]) {
+    case Impairment::kClear:
+      return false;
+    case Impairment::kLoop:
       throw std::logic_error("ForwardingFabric: routing loop");
+    default:
+      return true;
   }
-  return false;
+}
+
+const std::vector<ForwardingFabric::Impairment>&
+ForwardingFabric::impairment_row(AsId dest, const FailurePlan& failures,
+                                 double time_ms) const {
+  const auto key = std::make_tuple(failures.stamp(),
+                                   failures.data_plane_epoch(time_ms), dest);
+  return impairment_cache_.get_or_build(key, [&] {
+    obs::metric::fabric_impaired_path_checks().add();
+    // One pass over the healthy row: a route is impaired at its first dead
+    // AS, cut link or missing next hop, so u inherits its next hop's state
+    // unless the step u -> next[u] itself is broken. Each walk stops at the
+    // first AS already resolved; the ASes it passed take its state.
+    const auto& next = route_row(dest).next;
+    std::vector<Impairment> row(next.size(), Impairment::kUnknown);
+    row[dest] = Impairment::kClear;
+    std::vector<AsId> walk;
+    for (AsId u = 0; u < next.size(); ++u) {
+      AsId current = u;
+      Impairment state = row[current];
+      while (state == Impairment::kUnknown) {
+        row[current] = Impairment::kVisiting;
+        walk.push_back(current);
+        const AsId hop = next[current];
+        if (hop == topology::kNoNode || failures.as_down(hop, time_ms) ||
+            failures.link_down(current, hop, time_ms)) {
+          state = Impairment::kImpaired;
+          break;
+        }
+        current = hop;
+        state = row[current];
+      }
+      // Back at an AS of this walk: a cycle with no broken step on it.
+      if (state == Impairment::kVisiting) state = Impairment::kLoop;
+      for (const AsId passed : walk) row[passed] = state;
+      walk.clear();
+    }
+    return row;
+  });
 }
 
 const topology::AsGraph& ForwardingFabric::degraded_graph(
@@ -228,15 +263,17 @@ std::optional<double> ForwardingFabric::path_delay_ms(
   return route->delay_ms;
 }
 
-std::size_t ForwardingFabric::physical_hops(AsId from, AsId to) const {
-  check_range(from, to, "ForwardingFabric::physical_hops");
-  const std::size_t d = bfs_cache_.get_or_build(from, [&] {
+std::span<const std::size_t> ForwardingFabric::hop_row(AsId from) const {
+  check_range(from, from, "ForwardingFabric::hop_row");
+  return bfs_cache_.get_or_build(from, [&] {
     PROF_SPAN("lina.fabric.bfs_row");
     return topology::hop_distances(internet_->graph(), from);
-  })[to];
-  if (d == topology::kUnreachedHops)
-    throw std::logic_error("ForwardingFabric: disconnected AS graph");
-  return d;
+  });
+}
+
+std::size_t ForwardingFabric::physical_hops(AsId from, AsId to) const {
+  check_range(from, to, "ForwardingFabric::physical_hops");
+  return reached_hops(hop_row(from)[to]);
 }
 
 }  // namespace lina::sim

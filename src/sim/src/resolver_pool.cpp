@@ -14,7 +14,9 @@ using topology::AsId;
 
 ResolverPool::ResolverPool(const ForwardingFabric& fabric,
                            std::vector<AsId> replicas)
-    : fabric_(&fabric), replicas_(std::move(replicas)) {
+    : fabric_(&fabric),
+      replicas_(std::move(replicas)),
+      nearest_cache_(fabric.internet().graph().as_count()) {
   if (replicas_.empty())
     throw std::invalid_argument("ResolverPool: no replicas");
   for (const AsId replica : replicas_) {

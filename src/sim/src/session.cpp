@@ -106,10 +106,17 @@ AsId wavefront_belief(const ForwardingFabric& fabric,
                       double time_ms, double update_hop_ms,
                       std::size_t scope_hops) {
   // Newest first over the steps made by `time_ms`; step 0 is the global
-  // announcement every router starts from.
-  for (std::size_t i = steps_made(schedule, time_ms); i-- > 1;) {
+  // announcement every router starts from. Every step is priced from one
+  // BFS row: the hop distance from `at`.
+  const std::size_t made = steps_made(schedule, time_ms);
+  if (made <= 1) return schedule.front().as;
+  const std::span<const std::size_t> hops_from_at = fabric.hop_row(at);
+  for (std::size_t i = made; i-- > 1;) {
     const MobilityStep& step = schedule[i];
-    const std::size_t hops = fabric.physical_hops(at, step.as);
+    if (step.as >= hops_from_at.size())
+      throw std::out_of_range("wavefront_belief: schedule AS");
+    const std::size_t hops =
+        ForwardingFabric::reached_hops(hops_from_at[step.as]);
     if (hops > scope_hops) continue;
     if (step.time_ms + update_hop_ms * static_cast<double>(hops) <= time_ms)
       return step.as;
@@ -168,15 +175,13 @@ class SessionRunner {
       }
     }
     // Packet generation.
-    for (double t = 0.0; t < config_.duration_ms;
-         t += config_.packet_interval_ms) {
-      queue_.schedule(t, [this] {
-        ++stats_.packets_sent;
-        if (faults_ && plan_->any_active(queue_.now()))
-          ++stats_.packets_sent_during_failure;
-        send_packet(queue_.now());
-      });
-    }
+    queue_.schedule_series(
+        0.0, config_.packet_interval_ms, config_.duration_ms, [this] {
+          ++stats_.packets_sent;
+          if (faults_ && plan_->any_active(queue_.now()))
+            ++stats_.packets_sent_during_failure;
+          send_packet(queue_.now());
+        });
     queue_.run();
     stats_.packets_lost = stats_.packets_sent - stats_.packets_delivered;
     stats_.mapping_cache = binding_.stats();
@@ -735,12 +740,11 @@ class NameBasedRunner final : public SessionRunner {
     if (config_.update_scope_hops >= graph.as_count()) {
       count_control(graph.as_count());
     } else {
+      // Hop distance is symmetric: one BFS row from the new attachment.
       std::size_t reached = 0;
-      for (AsId as = 0; as < graph.as_count(); ++as) {
-        if (fabric_.physical_hops(as, new_as) <= config_.update_scope_hops) {
+      for (const std::size_t hops : fabric_.hop_row(new_as))
+        if (ForwardingFabric::reached_hops(hops) <= config_.update_scope_hops)
           ++reached;
-        }
-      }
       count_control(reached);
     }
   }

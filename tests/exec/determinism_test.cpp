@@ -3,11 +3,15 @@
 // at any thread count. These tests pin that for the workload generator, the
 // session simulator (all four architectures), the indirection-stretch
 // pipeline, and the update-cost evaluator, and check the fabric's memoized
-// degraded graph builds exactly once per (plan, epoch) key.
+// degraded graph builds exactly once per (plan, epoch) key and its
+// publish-once rows exactly once per AS under a thread race.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "../support/fixtures.hpp"
@@ -20,6 +24,7 @@
 #include "lina/obs/registry.hpp"
 #include "lina/sim/fabric.hpp"
 #include "lina/sim/failure_plan.hpp"
+#include "lina/sim/resolver_pool.hpp"
 #include "lina/sim/session.hpp"
 #include "lina/stats/rng.hpp"
 
@@ -215,6 +220,62 @@ TEST(FabricMemoTest, DegradedGraphBuildsOncePerPlanEpoch) {
       8);
   EXPECT_EQ(obs::metric::fabric_degraded_graph_builds().value(), 1u);
   obs::Registry::instance().enable(false);
+}
+
+TEST(FabricMemoTest, ColdRowsRaceToOneBuildAndOneAddress) {
+  // Stress for the publish-once tables: 8 threads released together walk
+  // the same cold destinations of a fresh fabric and a fresh resolver
+  // pool, each from its own offset, so first reads of one row collide.
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRows = 24;
+  obs::Registry::instance().reset();
+  const obs::EnabledScope scope;
+  const sim::ForwardingFabric fabric(shared_internet());
+  const sim::ResolverPool pool(
+      fabric, sim::ResolverPool::metro_placement(shared_internet(), 4));
+  // The pool's scans read the replicas' route rows; build those first and
+  // race over other destinations, so the delta counts only their rows.
+  const AsId source = shared_internet().edge_ases().back();
+  std::vector<AsId> dests;
+  for (const AsId as : shared_internet().edge_ases()) {
+    const auto replicas = pool.replicas();
+    if (as != source &&
+        std::find(replicas.begin(), replicas.end(), as) == replicas.end())
+      dests.push_back(as);
+    if (dests.size() == kRows) break;
+  }
+  ASSERT_EQ(dests.size(), kRows);
+  for (const AsId replica : pool.replicas())
+    (void)fabric.path_delay_ms(source, replica);
+  const std::uint64_t builds_before =
+      obs::metric::fabric_route_builds().value();
+
+  std::vector<std::vector<const std::size_t*>> hop_rows(
+      kThreads, std::vector<const std::size_t*>(kRows));
+  std::vector<std::vector<AsId>> nearest(kThreads, std::vector<AsId>(kRows));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < kRows; ++k) {
+        const std::size_t row = (k + t * 3) % kRows;
+        (void)fabric.step(source, dests[row]);
+        hop_rows[t][row] = fabric.hop_row(dests[row]).data();
+        nearest[t][row] = pool.nearest_replica(dests[row]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(obs::metric::fabric_route_builds().value() - builds_before,
+            kRows);
+  // The pool records one lookup delay per client scan it builds.
+  EXPECT_EQ(obs::metric::resolver_lookup_delay_ms().count(), kRows);
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(hop_rows[t], hop_rows[0]) << "thread " << t;
+    EXPECT_EQ(nearest[t], nearest[0]) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "lina/exec/dense_memo.hpp"
 #include "lina/exec/memo.hpp"
 #include "lina/exec/thread_pool.hpp"
 #include "lina/stats/rng.hpp"
@@ -152,6 +153,34 @@ TEST(MemoTest, TupleKeysHashAndCompare) {
   EXPECT_EQ(memo.get_or_build(key_a, [] { return 99; }), 10);  // cached
   Memo<std::pair<std::uint64_t, std::size_t>, int, TupleHash> pair_memo;
   EXPECT_EQ(pair_memo.get_or_build({5, 6}, [] { return 56; }), 56);
+}
+
+TEST(DenseMemoTest, BuildsEachIndexOnceAndPublishesOneValue) {
+  constexpr std::size_t kSlots = 37;
+  const DenseMemo<std::vector<std::size_t>> memo(kSlots);
+  std::atomic<std::size_t> builds{0};
+  std::vector<std::atomic<const std::vector<std::size_t>*>> seen(kSlots);
+  // 30 reads per index race through the table; every read of an index
+  // must return the one value built for it, at one address.
+  parallel_for(
+      kSlots * 30,
+      [&](std::size_t i) {
+        const std::size_t index = (i * 7) % kSlots;
+        const auto& value = memo.get_or_build(index, [&] {
+          builds.fetch_add(1);
+          return std::vector<std::size_t>(index + 1, index);
+        });
+        EXPECT_EQ(value, std::vector<std::size_t>(index + 1, index));
+        const std::vector<std::size_t>* expected = nullptr;
+        if (!seen[index].compare_exchange_strong(expected, &value)) {
+          EXPECT_EQ(expected, &value);
+        }
+      },
+      8);
+  EXPECT_EQ(builds.load(), kSlots);
+  EXPECT_THROW((void)memo.get_or_build(kSlots, [] {
+    return std::vector<std::size_t>{};
+  }), std::out_of_range);
 }
 
 TEST(RngSplitTest, SubstreamIsPureFunctionOfSeedAndIndex) {

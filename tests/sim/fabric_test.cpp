@@ -201,6 +201,69 @@ TEST(FabricTest, FailureAwarePathDelayIsSumOfLinkDelays) {
   EXPECT_GT(detours, 0u);
 }
 
+TEST(FabricTest, PolicyPathImpairedMatchesRouteWalk) {
+  // Two fault epochs with different dead elements: the memoized
+  // impairment rows must agree with a walk of the healthy route that
+  // stops at the first dead AS or cut link, in each epoch.
+  const auto& edges = shared_internet().edge_ases();
+  std::vector<AsId> route{edges[2]};
+  while (route.back() != edges[30])
+    route.push_back(*fabric().next_hop(route.back(), edges[30]));
+  ASSERT_GE(route.size(), 4u);
+  FailurePlan plan;
+  plan.as_outage(route[1], 0.0, 1000.0)
+      .link_cut(route[route.size() - 2], route.back(), 1000.0, 2000.0);
+  const auto walk_impaired = [&](AsId from, AsId to, double t) {
+    if (plan.as_down(from, t) || plan.as_down(to, t)) return true;
+    for (AsId at = from; at != to;) {
+      const auto next = fabric().next_hop(at, to);
+      if (!next.has_value() || plan.as_down(*next, t) ||
+          plan.link_down(at, *next, t))
+        return true;
+      at = *next;
+    }
+    return false;
+  };
+  std::vector<AsId> sample = sample_ases();
+  sample.insert(sample.end(), route.begin(), route.end());
+  for (const double t : {500.0, 1500.0}) {
+    std::size_t impaired = 0;
+    for (const AsId to : sample) {
+      for (const AsId from : sample) {
+        const bool expected = walk_impaired(from, to, t);
+        EXPECT_EQ(fabric().policy_path_impaired(from, to, plan, t), expected)
+            << from << " -> " << to << " at " << t;
+        impaired += expected ? 1 : 0;
+      }
+    }
+    EXPECT_GT(impaired, 0u) << t;
+  }
+  EXPECT_FALSE(fabric().policy_path_impaired(edges[2], edges[30], plan,
+                                             2500.0));
+}
+
+TEST(FabricTest, HopRowIsSymmetric) {
+  const std::vector<AsId> sample = sample_ases();
+  for (const AsId a : sample) {
+    const auto row = fabric().hop_row(a);
+    ASSERT_EQ(row.size(), shared_internet().graph().as_count());
+    EXPECT_EQ(row[a], 0u);
+    for (const AsId b : sample) {
+      EXPECT_EQ(row[b], fabric().hop_row(b)[a]) << a << " <-> " << b;
+      EXPECT_EQ(row[b], fabric().physical_hops(a, b));
+    }
+  }
+  // One memoized row per AS: repeated reads see the same storage.
+  EXPECT_EQ(fabric().hop_row(sample[1]).data(),
+            fabric().hop_row(sample[1]).data());
+}
+
+TEST(FabricTest, UnreachedHopRowEntryThrows) {
+  EXPECT_EQ(ForwardingFabric::reached_hops(3), 3u);
+  EXPECT_THROW((void)ForwardingFabric::reached_hops(topology::kUnreachedHops),
+               std::logic_error);
+}
+
 TEST(FabricTest, LinkDelayPositiveAndSymmetricEnough) {
   const auto& graph = shared_internet().graph();
   const AsId a = 0;
@@ -228,6 +291,7 @@ TEST(FabricTest, OutOfRangeThrows) {
   EXPECT_THROW((void)fabric().next_hop(1u << 20, 0), std::out_of_range);
   EXPECT_THROW((void)fabric().physical_hops(0, 1u << 20),
                std::out_of_range);
+  EXPECT_THROW((void)fabric().hop_row(n), std::out_of_range);
   // A query from an AS outside the graph to itself is not a 0-hop route.
   EXPECT_THROW((void)fabric().path_delay_ms(n, n), std::out_of_range);
   EXPECT_THROW((void)fabric().path_hops(n, n), std::out_of_range);
